@@ -21,10 +21,12 @@ import (
 	"dilos/internal/telemetry"
 )
 
-// benchScale keeps every benchmark iteration under a couple of seconds
+// benchRun is a fresh run value (published options) per iteration, at a
+// scale that keeps every benchmark iteration under a couple of seconds
 // while preserving the cache-fraction ratios that drive the shapes.
-func benchScale() experiments.Scale {
-	return experiments.Scale{
+func benchRun() *experiments.Run {
+	o := experiments.DefaultOptions()
+	o.Scale = experiments.Scale{
 		SeqPages:      4096,
 		QuicksortN:    256 << 10,
 		KMeansPoints:  40_000,
@@ -38,12 +40,13 @@ func benchScale() experiments.Scale {
 		RedisLists:    32,
 		RedisListElem: 4000,
 	}
+	return experiments.NewRun(o)
 }
 
 // BenchmarkFig1FastswapFaultBreakdown regenerates Figure 1.
 func BenchmarkFig1FastswapFaultBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig1(benchScale())
+		rows := experiments.Fig1(benchRun())
 		b.ReportMetric(rows[0].Total.Micros(), "avg-fault-us")
 		b.ReportMetric(rows[0].Reclaim.Micros(), "reclaim-us")
 		b.ReportMetric(rows[1].Total.Micros(), "noreclaim-fault-us")
@@ -65,7 +68,7 @@ func BenchmarkFig2RDMALatency(b *testing.B) {
 // BenchmarkTab1FastswapFaultCounts regenerates Table 1.
 func BenchmarkTab1FastswapFaultCounts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Tab1(benchScale())
+		r := experiments.Tab1(benchRun())
 		b.ReportMetric(100*float64(r.Major)/float64(r.Total), "major-pct")
 		b.ReportMetric(float64(r.Minor), "minor-faults")
 	}
@@ -74,7 +77,7 @@ func BenchmarkTab1FastswapFaultCounts(b *testing.B) {
 // BenchmarkTab2SequentialThroughput regenerates Table 2.
 func BenchmarkTab2SequentialThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, r := range experiments.Tab2(benchScale()) {
+		for _, r := range experiments.Tab2(benchRun()) {
 			tag := map[experiments.SystemKind]string{
 				experiments.SysFastswap:   "fastswap",
 				experiments.SysDiLOSNone:  "dilos-none",
@@ -90,7 +93,7 @@ func BenchmarkTab2SequentialThroughput(b *testing.B) {
 // BenchmarkFig6FaultBreakdownComparison regenerates Figure 6.
 func BenchmarkFig6FaultBreakdownComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig6(benchScale())
+		rows := experiments.Fig6(benchRun())
 		var fs, dl float64
 		for _, r := range rows {
 			switch r.Label {
@@ -109,7 +112,7 @@ func BenchmarkFig6FaultBreakdownComparison(b *testing.B) {
 // BenchmarkTab3FaultCounts regenerates Table 3.
 func BenchmarkTab3FaultCounts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, r := range experiments.Tab3(benchScale()) {
+		for _, r := range experiments.Tab3(benchRun()) {
 			if r.System == experiments.SysDiLOSRA {
 				b.ReportMetric(float64(r.Major), "dilos-ra-major")
 				b.ReportMetric(float64(r.Minor), "dilos-ra-minor")
@@ -145,21 +148,21 @@ func reportSpeedup(b *testing.B, rows []experiments.CompletionRow) {
 // BenchmarkFig7aQuicksort regenerates Figure 7(a).
 func BenchmarkFig7aQuicksort(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportSpeedup(b, experiments.Fig7a(benchScale()))
+		reportSpeedup(b, experiments.Fig7a(benchRun()))
 	}
 }
 
 // BenchmarkFig7bKMeans regenerates Figure 7(b).
 func BenchmarkFig7bKMeans(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportSpeedup(b, experiments.Fig7b(benchScale()))
+		reportSpeedup(b, experiments.Fig7b(benchRun()))
 	}
 }
 
 // BenchmarkFig7cSnappyCompression regenerates Figure 7(c).
 func BenchmarkFig7cSnappyCompression(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig7c(benchScale())
+		rows := experiments.Fig7c(benchRun())
 		reportSpeedup(b, rows)
 		for _, r := range rows {
 			if r.System == experiments.SysAIFM && r.Fraction == 0.125 {
@@ -172,14 +175,14 @@ func BenchmarkFig7cSnappyCompression(b *testing.B) {
 // BenchmarkFig7dSnappyDecompression regenerates Figure 7(d).
 func BenchmarkFig7dSnappyDecompression(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportSpeedup(b, experiments.Fig7d(benchScale()))
+		reportSpeedup(b, experiments.Fig7d(benchRun()))
 	}
 }
 
 // BenchmarkFig8DataFrame regenerates Figure 8.
 func BenchmarkFig8DataFrame(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig8(benchScale())
+		rows := experiments.Fig8(benchRun())
 		reportSpeedup(b, rows)
 		var aifm, dilos float64
 		for _, r := range rows {
@@ -202,14 +205,14 @@ func BenchmarkFig8DataFrame(b *testing.B) {
 // BenchmarkFig9aPageRank regenerates Figure 9(a).
 func BenchmarkFig9aPageRank(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportSpeedup(b, experiments.Fig9a(benchScale()))
+		reportSpeedup(b, experiments.Fig9a(benchRun()))
 	}
 }
 
 // BenchmarkFig9bBetweennessCentrality regenerates Figure 9(b).
 func BenchmarkFig9bBetweennessCentrality(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportSpeedup(b, experiments.Fig9b(benchScale()))
+		reportSpeedup(b, experiments.Fig9b(benchRun()))
 	}
 }
 
@@ -239,35 +242,35 @@ func reportRedis(b *testing.B, rows []experiments.RedisRow) {
 // BenchmarkFig10aRedisGET4K regenerates Figure 10(a).
 func BenchmarkFig10aRedisGET4K(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportRedis(b, experiments.Fig10a(benchScale()))
+		reportRedis(b, experiments.Fig10a(benchRun()))
 	}
 }
 
 // BenchmarkFig10bRedisGET64K regenerates Figure 10(b).
 func BenchmarkFig10bRedisGET64K(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportRedis(b, experiments.Fig10b(benchScale()))
+		reportRedis(b, experiments.Fig10b(benchRun()))
 	}
 }
 
 // BenchmarkFig10cRedisGETMixed regenerates Figure 10(c).
 func BenchmarkFig10cRedisGETMixed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportRedis(b, experiments.Fig10c(benchScale()))
+		reportRedis(b, experiments.Fig10c(benchRun()))
 	}
 }
 
 // BenchmarkFig10dRedisLRANGE regenerates Figure 10(d).
 func BenchmarkFig10dRedisLRANGE(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportRedis(b, experiments.Fig10d(benchScale()))
+		reportRedis(b, experiments.Fig10d(benchRun()))
 	}
 }
 
 // BenchmarkTab4TailLatency regenerates Table 4.
 func BenchmarkTab4TailLatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, r := range experiments.Tab4(benchScale()) {
+		for _, r := range experiments.Tab4(benchRun()) {
 			switch r.System {
 			case experiments.SysFastswap:
 				b.ReportMetric(r.GetP99.Micros(), "fastswap-get-p99-us")
@@ -283,7 +286,7 @@ func BenchmarkTab4TailLatency(b *testing.B) {
 // BenchmarkFig12GuidedPagingBandwidth regenerates Figure 12.
 func BenchmarkFig12GuidedPagingBandwidth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig12(benchScale())
+		rows := experiments.Fig12(benchRun())
 		def, guided := rows[0], rows[1]
 		b.ReportMetric(100*(1-guided.DelTxMB/def.DelTxMB), "del-saving-pct")
 		b.ReportMetric(100*(1-guided.GetRxMB/def.GetRxMB), "get-saving-pct")
@@ -294,7 +297,7 @@ func BenchmarkFig12GuidedPagingBandwidth(b *testing.B) {
 // reclamation against an on-demand variant.
 func BenchmarkAblationEagerEviction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.AblationEagerEviction(benchScale())
+		rows := experiments.AblationEagerEviction(benchRun())
 		b.ReportMetric(rows[0].WriteGBs, "eager-write-GBs")
 		b.ReportMetric(rows[1].WriteGBs, "ondemand-write-GBs")
 	}
@@ -304,7 +307,7 @@ func BenchmarkAblationEagerEviction(b *testing.B) {
 // against one queue per core (head-of-line blocking).
 func BenchmarkAblationSharedQueue(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.AblationSharedQueue(benchScale())
+		rows := experiments.AblationSharedQueue(benchRun())
 		b.ReportMetric(rows[0].WriteGBs, "shared-nothing-write-GBs")
 		b.ReportMetric(rows[1].WriteGBs, "shared-queue-write-GBs")
 		b.ReportMetric(rows[0].FaultP99.Micros(), "shared-nothing-p99-us")
@@ -315,7 +318,7 @@ func BenchmarkAblationSharedQueue(b *testing.B) {
 // BenchmarkExtMultiNode quantifies the §5.1 sharding extension.
 func BenchmarkExtMultiNode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.ExtMultiNode(benchScale())
+		rows := experiments.ExtMultiNode(benchRun())
 		for _, r := range rows {
 			b.ReportMetric(r.ReadGBs, fmt.Sprintf("nodes%d-read-GBs", r.Nodes))
 		}
@@ -325,9 +328,7 @@ func BenchmarkExtMultiNode(b *testing.B) {
 // BenchmarkFaultPath measures the host-side (real CPU) cost of one major
 // fault through the sharded manager — simulator overhead, not simulated
 // latency. The working set is 8× the cache, so every touch in the cycle
-// is a major fault with eviction pressure behind it. Guarded by the CI
-// bench-baseline check: ns/op regressions past 10% fail the shard-smoke
-// job.
+// is a major fault with eviction pressure behind it.
 func BenchmarkFaultPath(b *testing.B) {
 	const pages = 8192
 	eng := sim.New()
@@ -366,8 +367,7 @@ func BenchmarkFaultPath(b *testing.B) {
 // observability plane attached: SLO burn-rate monitor, event journal, and
 // a tail-sampled flight recorder (keep every over-budget span, 1 in 16 of
 // the rest). The delta against BenchmarkFaultPath is the host-side cost of
-// the plane per fault; scripts/benchcheck.sh gates both so the plane can
-// never silently grow past the committed baseline.
+// the plane per fault.
 func BenchmarkFaultPathObs(b *testing.B) {
 	const pages = 8192
 	eng := sim.New()

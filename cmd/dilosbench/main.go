@@ -4,7 +4,9 @@
 //
 // The command itself is a thin driver: every experiment lives in
 // internal/experiments and self-registers via experiments.Register, so
-// -list, dispatch, and -json all run off the registry.
+// -list, dispatch, and -json all run off the registry. The flags fill one
+// experiments.Options value, and every entry of the invocation runs on
+// one experiments.Run built from it (plus one per -cores setting).
 //
 // Usage:
 //
@@ -53,9 +55,6 @@ func writeMemProfile(path string) {
 	}
 }
 
-// coresList is the parsed -cores sweep (empty = defaults, no sweep).
-var coresList []int
-
 // parseCores parses a -cores comma list like "1,2,4,8".
 func parseCores(spec string) ([]int, error) {
 	if spec == "" {
@@ -72,53 +71,57 @@ func parseCores(spec string) ([]int, error) {
 	return out, nil
 }
 
-// runExp runs one experiment, once per -cores setting when a sweep is
-// active. CoresAware experiments (ext10) sweep core counts internally, so
-// they consume the list directly instead of being looped.
-func runExp(e experiments.Entry, sc experiments.Scale) {
-	if len(coresList) == 0 || e.CoresAware {
-		e.Run(sc)
+// printExp prints one experiment, once per -cores setting when a sweep is
+// active (coreRuns holds one run per setting). CoresAware experiments
+// (ext10) sweep core counts internally, so they run once on run.
+func printExp(e experiments.Entry, run *experiments.Run, coreRuns []*experiments.Run) {
+	if len(coreRuns) == 0 || e.CoresAware {
+		e.Print(e.Rows(run))
 		return
 	}
-	for i, n := range coresList {
+	for i, cr := range coreRuns {
 		if i > 0 {
 			fmt.Println()
 		}
-		fmt.Printf("=== cores=%d ===\n", n)
-		experiments.CoreCount = n
-		e.Run(sc)
+		fmt.Printf("=== cores=%d ===\n", cr.Cores)
+		e.Print(e.Rows(cr))
 	}
-	experiments.CoreCount = 0
+}
+
+type labeledSnapshot struct {
+	Label string         `json:"label"`
+	Stats stats.Snapshot `json:"stats"`
 }
 
 func main() {
+	opts := experiments.DefaultOptions()
 	exp := flag.String("exp", "", "experiment id (see -list) or 'all'")
 	list := flag.Bool("list", false, "list available experiments")
 	scale := flag.Float64("scale", 1, "working-set scale multiplier")
 	asJSON := flag.Bool("json", false, "emit structured JSON instead of tables")
 	withStats := flag.Bool("stats", false,
 		"capture a full stats snapshot per system run and dump them as JSON")
-	flag.Uint64Var(&experiments.ChaosSeed, "chaos-seed", 42,
+	flag.Uint64Var(&opts.ChaosSeed, "chaos-seed", opts.ChaosSeed,
 		"seed for the seeded experiments' deterministic fault injection and determinism legs (same seed ⇒ identical run)")
 	batch := flag.String("batch", "off",
 		"doorbell-batched submission (on|off) for every DiLOS system the experiments build; ext5 measures both regardless")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the simulator itself to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	traceOut := flag.String("trace-out", "",
-		"record a flight-recorder trace and write it as Perfetto/Chrome JSON to this file (the last system run of the invocation wins)")
+		"record a flight-recorder trace and write it as Perfetto/Chrome JSON to this file (the last simulation actually executed wins; a sweep an entry reuses from an earlier entry is not simulated or recorded again)")
 	sampleInterval := flag.Duration("sample-interval", 50*time.Microsecond,
 		"virtual-time gauge sampling interval for -trace-out counter tracks (0 disables them)")
-	flag.IntVar(&experiments.MigrateDrainNode, "migrate-drain", 2,
+	flag.IntVar(&opts.MigrateDrainNode, "migrate-drain", opts.MigrateDrainNode,
 		"memory node ext7 drains out of its 3-node pool (0-2)")
-	flag.Float64Var(&experiments.MigrateWatermark, "migrate-watermark", 0,
+	flag.Float64Var(&opts.MigrateWatermark, "migrate-watermark", opts.MigrateWatermark,
 		"occupancy-imbalance fraction that arms continuous auto-rebalancing on ext7's migration engine (0 = drain/join only)")
-	flag.Int64Var(&experiments.TenantAggressorRate, "tenant-rate", experiments.TenantAggressorRate,
+	flag.Int64Var(&opts.TenantAggressorRate, "tenant-rate", opts.TenantAggressorRate,
 		"fabric token-bucket rate (bytes/s) capping ext8's aggressor tenant in the isolated leg")
-	flag.IntVar(&experiments.KVLayers, "kv-layers", experiments.KVLayers,
+	flag.IntVar(&opts.KVLayers, "kv-layers", opts.KVLayers,
 		"ext12: transformer layers per sequence")
-	flag.IntVar(&experiments.KVSeqs, "kv-seqs", experiments.KVSeqs,
+	flag.IntVar(&opts.KVSeqs, "kv-seqs", opts.KVSeqs,
 		"ext12: concurrent sequences in the KV-cache batch")
-	flag.IntVar(&experiments.KVDecode, "kv-decode", experiments.KVDecode,
+	flag.IntVar(&opts.KVDecode, "kv-decode", opts.KVDecode,
 		"ext12: decode steps per sequence after prefill")
 	metricsAddr := flag.String("metrics-addr", "",
 		"serve /metrics, /statusz, /journalz, /healthz on this address for the duration of the invocation (pages refresh after every system run)")
@@ -126,30 +129,23 @@ func main() {
 		"serve net/http/pprof on this address (off by default; see DESIGN.md §14 for the profiling workflow)")
 	coresSpec := flag.String("cores", "",
 		"comma list of core counts (e.g. 1,2,4,8): run each experiment once per setting with the sharded manager at that core count (one stats block per setting); ext10 sweeps exactly this list")
-	flag.BoolVar(&experiments.WideLocks, "wide-locks", false,
-		"with -cores: boot DiLOS with the shared-structure wide-lock baseline instead of the sharded manager (ext10's ablation arm, for ad-hoc runs)")
 	flag.Parse()
-	var err error
-	if coresList, err = parseCores(*coresSpec); err != nil {
+	cores, err := parseCores(*coresSpec)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if len(coresList) > 0 {
-		experiments.ScalingCores = coresList
+	if len(cores) > 0 {
+		opts.ScalingCores = cores
 	}
-	if experiments.WideLocks && len(coresList) == 0 {
-		fmt.Fprintln(os.Stderr, "-wide-locks needs -cores")
-		os.Exit(2)
-	}
-	if experiments.MigrateDrainNode < 0 || experiments.MigrateDrainNode > 2 {
-		fmt.Fprintf(os.Stderr, "-migrate-drain must be 0-2, got %d\n", experiments.MigrateDrainNode)
+	if opts.MigrateDrainNode < 0 || opts.MigrateDrainNode > 2 {
+		fmt.Fprintf(os.Stderr, "-migrate-drain must be 0-2, got %d\n", opts.MigrateDrainNode)
 		os.Exit(2)
 	}
 	switch *batch {
 	case "on":
-		experiments.Batch = true
+		opts.Batch = true
 	case "off":
-		experiments.Batch = false
 	default:
 		fmt.Fprintf(os.Stderr, "-batch must be on or off, got %q\n", *batch)
 		os.Exit(2)
@@ -167,12 +163,9 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 	defer writeMemProfile(*memprofile)
-	jsonOut = *asJSON
-	statsOut = *withStats
 	if *traceOut != "" {
-		experiments.Telemetry = true
-		experiments.SampleEvery = sim.Time((*sampleInterval).Nanoseconds())
-		experiments.TelemetrySink = func(label string, rec *telemetry.Recorder, sam *telemetry.Sampler) {
+		opts.SampleEvery = sim.Time((*sampleInterval).Nanoseconds())
+		opts.TelemetrySink = func(label string, rec *telemetry.Recorder, sam *telemetry.Sampler) {
 			f, err := os.Create(*traceOut)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -186,8 +179,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "trace: wrote %s (%s)\n", *traceOut, label)
 		}
 	}
-	if statsOut {
-		experiments.Collect = func(label string, snap stats.Snapshot) {
+	// statsDump accumulates whatever the Collect hook hands back (-stats).
+	var statsDump []labeledSnapshot
+	if *withStats {
+		opts.Collect = func(label string, snap stats.Snapshot) {
 			statsDump = append(statsDump, labeledSnapshot{Label: label, Stats: snap})
 		}
 	}
@@ -210,8 +205,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "obs: serving /metrics on http://%s/\n", addr)
 		// Each finished system run re-publishes the exporter pages; the
 		// scrape target stays live across the whole batch.
-		prev := experiments.Collect
-		experiments.Collect = func(label string, snap stats.Snapshot) {
+		prev := opts.Collect
+		opts.Collect = func(label string, snap stats.Snapshot) {
 			if prev != nil {
 				prev(label, snap)
 			}
@@ -231,42 +226,53 @@ func main() {
 		return
 	}
 
-	sc := scaled(*scale)
-	if jsonOut {
-		runJSON(sc, *exp)
-		return
-	}
-	if *exp == "all" {
-		for _, e := range experiments.Entries() {
-			runExp(e, sc)
-			fmt.Println()
+	entries := experiments.Entries()
+	if *exp != "all" {
+		entries = nil
+		for _, id := range strings.Split(*exp, ",") {
+			e, ok := experiments.Lookup(id)
+			if !ok {
+				fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", id)
+				os.Exit(2)
+			}
+			entries = append(entries, e)
 		}
-		dumpStats()
-		return
 	}
-	for _, id := range strings.Split(*exp, ",") {
-		e, ok := experiments.Lookup(id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", id)
-			os.Exit(2)
-		}
-		runExp(e, sc)
-		fmt.Println()
-	}
-	dumpStats()
-}
-
-// dumpStats prints the accumulated per-run snapshots after the tables.
-func dumpStats() {
-	if !statsOut {
-		return
-	}
-	fmt.Println("stats snapshots (one object per system run):")
+	opts.Scale = scaled(*scale)
+	run := experiments.NewRun(opts)
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(statsDump); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if *asJSON {
+		out := map[string]any{}
+		for _, e := range entries {
+			out[e.ID] = e.Rows(run)
+		}
+		var doc any = out
+		if *withStats {
+			doc = map[string]any{"results": out, "stats": statsDump}
+		}
+		if err := enc.Encode(doc); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		return
+	}
+	var coreRuns []*experiments.Run
+	for _, n := range cores {
+		o := opts
+		o.Cores = n
+		coreRuns = append(coreRuns, experiments.NewRun(o))
+	}
+	for _, e := range entries {
+		printExp(e, run, coreRuns)
+		fmt.Println()
+	}
+	if *withStats {
+		fmt.Println("stats snapshots (one object per system run):")
+		if err := enc.Encode(statsDump); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 	}
 }
 
@@ -283,51 +289,4 @@ func scaled(mult float64) experiments.Scale {
 	sc.RedisKeysMix = int(float64(sc.RedisKeysMix) * mult)
 	sc.RedisListElem = int(float64(sc.RedisListElem) * mult)
 	return sc
-}
-
-// jsonOut switches the harness into structured output.
-var jsonOut bool
-
-// statsOut enables the per-run stats snapshot dump (-stats); statsDump
-// accumulates whatever the experiments.Collect hook hands back.
-var statsOut bool
-
-type labeledSnapshot struct {
-	Label string         `json:"label"`
-	Stats stats.Snapshot `json:"stats"`
-}
-
-var statsDump []labeledSnapshot
-
-func runJSON(sc experiments.Scale, exp string) {
-	out := map[string]any{}
-	var entries []experiments.Entry
-	if exp == "all" {
-		entries = experiments.Entries()
-	} else {
-		for _, id := range strings.Split(exp, ",") {
-			e, ok := experiments.Lookup(id)
-			if !ok || e.JSON == nil {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", id)
-				os.Exit(2)
-			}
-			entries = append(entries, e)
-		}
-	}
-	for _, e := range entries {
-		if e.JSON == nil {
-			continue
-		}
-		out[e.ID] = e.JSON(sc)
-	}
-	var doc any = out
-	if statsOut {
-		doc = map[string]any{"results": out, "stats": statsDump}
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 }

@@ -2,14 +2,10 @@ package core
 
 import "fmt"
 
-// This file is the compatibility layer (§5 "Compatibility layer"): DDC
-// memory APIs (ddc_malloc / ddc_free over mmap(MAP_DDC)) and the
-// loader-style symbol rebinding that gives existing binaries disaggregated
-// memory without modification. In the real DiLOS a custom ELF loader
-// patches malloc/free in the application's symbol table; Go has no PLT to
-// patch, so the Loader below performs the same interposition over an
-// explicit symbol table — the mechanism (rebind at load time, application
-// code untouched) is the same.
+// This file is the compatibility layer (§5 "Compatibility layer"): the DDC
+// memory APIs (ddc_malloc / ddc_free over mmap(MAP_DDC)). In the real
+// DiLOS a custom ELF loader rebinds an unmodified binary's malloc/free to
+// these; Go has no PLT to patch, so applications here call them directly.
 
 // mallocRegionPages is the granularity at which the DDC heap grows.
 const mallocRegionPages = 4096 // 16 MiB per region
@@ -55,52 +51,3 @@ func (s *System) Malloc(n uint64) (uint64, error) {
 func (s *System) Free(addr, n uint64) {}
 
 func alignUp(x, a uint64) uint64 { return (x + a - 1) &^ (a - 1) }
-
-// Loader models DiLOS' custom ELF loader: it exposes the symbol table of a
-// "binary" and rebinds allocation symbols to the DDC implementations at
-// load time, plus the hooking interface guides use to observe application
-// functions (§5).
-type Loader struct {
-	sys     *System
-	symbols map[string]any
-	hooks   map[string][]func(args ...uint64)
-}
-
-// NewLoader creates a loader for the system.
-func NewLoader(sys *System) *Loader {
-	l := &Loader{sys: sys, symbols: map[string]any{}, hooks: map[string][]func(...uint64){}}
-	// Default libc-ish symbols before patching.
-	l.symbols["malloc"] = func(n uint64) (uint64, error) {
-		return 0, fmt.Errorf("loader: local malloc not available in a DDC LibOS image")
-	}
-	return l
-}
-
-// Patch rebinds the allocation symbols to the DDC APIs — what DiLOS' ELF
-// loader does to every loaded application binary.
-func (l *Loader) Patch() {
-	l.symbols["malloc"] = func(n uint64) (uint64, error) { return l.sys.Malloc(n) }
-	l.symbols["free"] = func(addr, n uint64) { l.sys.Free(addr, n) }
-}
-
-// Lookup resolves a symbol, as application code would through the PLT.
-func (l *Loader) Lookup(name string) (any, bool) {
-	v, ok := l.symbols[name]
-	return v, ok
-}
-
-// Hook registers a guide callback on an application symbol (the "hooking
-// interfaces of an application binary" guides use to learn, e.g., the
-// position of the node a list traversal is visiting).
-func (l *Loader) Hook(symbol string, fn func(args ...uint64)) {
-	l.hooks[symbol] = append(l.hooks[symbol], fn)
-}
-
-// Call invokes the hooks for a symbol (applications call this at the
-// instrumented points; the binary itself is unmodified — the loader
-// injected the trampoline).
-func (l *Loader) Call(symbol string, args ...uint64) {
-	for _, fn := range l.hooks[symbol] {
-		fn(args...)
-	}
-}

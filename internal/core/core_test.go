@@ -264,37 +264,6 @@ func TestMallocCompat(t *testing.T) {
 	eng.Run()
 }
 
-func TestLoaderPatchesMalloc(t *testing.T) {
-	sys, eng := newSys(t, 64, nil)
-	ld := NewLoader(sys)
-	if m, ok := ld.Lookup("malloc"); !ok {
-		t.Fatal("malloc missing from symbol table")
-	} else if _, err := m.(func(uint64) (uint64, error))(8); err == nil {
-		t.Fatal("unpatched malloc should fail in a DDC image")
-	}
-	ld.Patch()
-	m, _ := ld.Lookup("malloc")
-	sys.Launch("app", 0, func(sp *DDCProc) {
-		addr, err := m.(func(uint64) (uint64, error))(64)
-		if err != nil || addr == 0 {
-			t.Errorf("patched malloc: %v", err)
-			return
-		}
-		sp.StoreU64(addr, 42)
-		if sp.LoadU64(addr) != 42 {
-			t.Error("DDC memory from patched malloc broken")
-		}
-	})
-	eng.Run()
-
-	called := 0
-	ld.Hook("lrange", func(args ...uint64) { called++ })
-	ld.Call("lrange", 7)
-	if called != 1 {
-		t.Fatal("hook not invoked")
-	}
-}
-
 func TestRandomizedIntegrityUnderPressure(t *testing.T) {
 	sys, eng := newSys(t, 48, prefetch.NewTrend())
 	rng := rand.New(rand.NewSource(42))

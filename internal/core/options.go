@@ -1,18 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"dilos/internal/chaos"
-	"dilos/internal/fabric"
-	"dilos/internal/migrate"
-	"dilos/internal/pagemgr"
-	"dilos/internal/placement"
-	"dilos/internal/prefetch"
-	"dilos/internal/sim"
-	"dilos/internal/telemetry"
-	"dilos/internal/trace"
-)
+import "fmt"
 
 // Validate reports whether the config assembles a working system. It
 // surfaces the precedence rules New historically resolved silently:
@@ -99,102 +87,3 @@ func (c Config) normalized() (Config, error) {
 	}
 	return c, nil
 }
-
-// Option mutates the Config NewSystem assembles.
-type Option func(*Config)
-
-// NewSystem assembles a DiLOS node from functional options, returning
-// the validation error New would panic with. New(eng, cfg) and
-// NewSystem(eng, opts...) converge on the same normalized config.
-func NewSystem(eng *sim.Engine, opts ...Option) (*System, error) {
-	var cfg Config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	n, err := cfg.normalized()
-	if err != nil {
-		return nil, err
-	}
-	return build(eng, n), nil
-}
-
-// WithConfig seeds the option chain from a full Config literal; later
-// options override its fields.
-func WithConfig(c Config) Option { return func(dst *Config) { *dst = c } }
-
-// WithCacheFrames sets the local DRAM cache size in 4 KiB frames.
-func WithCacheFrames(frames int) Option { return func(c *Config) { c.CacheFrames = frames } }
-
-// WithCores sets the CPU core count.
-func WithCores(n int) Option { return func(c *Config) { c.Cores = n } }
-
-// WithRemoteBytes sizes each in-process memory node's registered region.
-func WithRemoteBytes(b uint64) Option { return func(c *Config) { c.RemoteBytes = b } }
-
-// WithFabric selects the network calibration.
-func WithFabric(p fabric.Params) Option { return func(c *Config) { c.Fabric = p } }
-
-// WithPrefetcher installs the prefetch policy.
-func WithPrefetcher(pf prefetch.Prefetcher) Option { return func(c *Config) { c.Prefetcher = pf } }
-
-// WithEvictionGuide enables guided paging on the page manager.
-func WithEvictionGuide(g pagemgr.EvictionGuide) Option {
-	return func(c *Config) { c.EvictionGuide = g }
-}
-
-// WithManager overrides the page-manager tuning.
-func WithManager(m pagemgr.Config) Option { return func(c *Config) { c.Mgr = &m } }
-
-// WithSharedQP collapses per-module queues into one shared queue (the
-// head-of-line ablation).
-func WithSharedQP() Option { return func(c *Config) { c.SharedQP = true } }
-
-// WithMemNodes shards the remote backing across n memory nodes.
-func WithMemNodes(n int) Option { return func(c *Config) { c.MemNodes = n } }
-
-// WithPlacement selects the page→node layout policy.
-func WithPlacement(p placement.Policy) Option { return func(c *Config) { c.Placement = p } }
-
-// WithBackings supplies externally owned memory-node backings (one shard
-// per entry); RemoteBytes and MemNodes must then stay unset.
-func WithBackings(bs ...Backing) Option { return func(c *Config) { c.Backings = bs } }
-
-// WithReplicas keeps n copies of every page across distinct nodes.
-func WithReplicas(n int) Option { return func(c *Config) { c.Replicas = n } }
-
-// WithTrace records every fault into the ring for offline analysis.
-func WithTrace(r *trace.Recorder) Option { return func(c *Config) { c.Trace = r } }
-
-// WithTelemetry attaches the flight recorder; a positive sampleEvery
-// also starts the periodic gauge sampler.
-func WithTelemetry(r *telemetry.Recorder, sampleEvery sim.Time) Option {
-	return func(c *Config) { c.Tel, c.SampleEvery = r, sampleEvery }
-}
-
-// WithChaos injects deterministic faults into every link and enables the
-// failure-handling stack.
-func WithChaos(inj *chaos.Injector) Option { return func(c *Config) { c.Chaos = inj } }
-
-// WithHealth overrides the health monitor tuning (requires WithChaos).
-func WithHealth(hc HealthConfig) Option { return func(c *Config) { c.Health = &hc } }
-
-// WithBatch enables doorbell-batched submission on the hot I/O paths.
-func WithBatch() Option { return func(c *Config) { c.Batch = true } }
-
-// WithMigration starts the elastic-pool migration engine with the given
-// tuning (zero values → defaults), enabling Drain, AddMemNode
-// rebalancing, and watermark auto-rebalance.
-func WithMigration(t migrate.Tuning) Option { return func(c *Config) { c.Migrate = &t } }
-
-// WithTenancy enables multi-tenant mode: admit tenants with
-// System.NewTenant before Start.
-func WithTenancy(t TenancyConfig) Option { return func(c *Config) { c.Tenancy = &t } }
-
-// WithShards shards the paging hot path into n per-core shards
-// (shared-nothing LRU lists, per-shard cleaner/reclaimer pairs, CAS page
-// transitions). Typically n = Cores.
-func WithShards(n int) Option { return func(c *Config) { c.Shards = n } }
-
-// WithWideLocks enables the coarse shared-lock baseline over the sharded
-// machinery (requires WithShards) — ext10's ablation arm.
-func WithWideLocks() Option { return func(c *Config) { c.WideLocks = true } }

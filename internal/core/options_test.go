@@ -23,6 +23,7 @@ func TestConfigValidateRules(t *testing.T) {
 		{"no cache", func(c *Config) { c.CacheFrames = 0 }, "CacheFrames"},
 		{"no cores", func(c *Config) { c.Cores = 0 }, "Cores"},
 		{"no remote", func(c *Config) { c.RemoteBytes = 0 }, "RemoteBytes"},
+		{"cores reported before remote", func(c *Config) { *c = Config{CacheFrames: 32} }, "Cores"},
 		{"backings drop remote bytes", func(c *Config) {
 			c.Backings = []Backing{memnode.New(1<<20, 1)}
 			c.RemoteBytes = 0
@@ -108,25 +109,25 @@ func TestNewPanicsWithValidateError(t *testing.T) {
 	New(sim.New(), Config{CacheFrames: 32, Cores: 1})
 }
 
-func TestNewSystemOptions(t *testing.T) {
-	// The functional-options constructor converges on the same normalized
-	// config as New: a tiny system assembles, runs a workload, and carries
-	// the migration engine the option installed.
-	eng := sim.New()
-	sys, err := NewSystem(eng,
-		WithCacheFrames(32),
-		WithCores(2),
-		WithRemoteBytes(8<<20),
-		WithFabric(fabric.DefaultParams()),
-		WithMemNodes(2),
-		WithReplicas(2),
-		WithMigration(migrate.Tuning{}),
-	)
-	if err != nil {
+func TestNewBuildsConfiguredSystem(t *testing.T) {
+	// A validated config assembles a tiny system that runs a workload and
+	// carries the migration engine its Migrate tuning asked for.
+	cfg := Config{
+		CacheFrames: 32,
+		Cores:       2,
+		RemoteBytes: 8 << 20,
+		Fabric:      fabric.DefaultParams(),
+		MemNodes:    2,
+		Replicas:    2,
+		Migrate:     &migrate.Tuning{},
+	}
+	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	eng := sim.New()
+	sys := New(eng, cfg)
 	if sys.Mig == nil {
-		t.Fatal("WithMigration did not arm the engine")
+		t.Fatal("Migrate did not arm the engine")
 	}
 	sys.Start()
 	sys.Launch("app", 0, func(sp *DDCProc) {
@@ -148,12 +149,5 @@ func TestNewSystemOptions(t *testing.T) {
 	eng.Run()
 	if sys.MajorFaults.N == 0 {
 		t.Fatal("workload drove no faults")
-	}
-}
-
-func TestNewSystemReturnsValidationError(t *testing.T) {
-	_, err := NewSystem(sim.New(), WithCacheFrames(32))
-	if err == nil || !strings.Contains(err.Error(), "Cores") {
-		t.Fatalf("error %v, want Cores requirement", err)
 	}
 }

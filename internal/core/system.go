@@ -396,9 +396,8 @@ type pfIssue struct {
 }
 
 // New assembles a DiLOS node from the config, panicking on an invalid
-// one. NewSystem is the error-returning, functional-options variant;
-// both converge on the same normalized config (Config.Validate
-// documents the rules).
+// one. Callers that want the error instead check Config.Validate first
+// (it documents the rules).
 func New(eng *sim.Engine, cfg Config) *System {
 	n, err := cfg.normalized()
 	if err != nil {

@@ -13,18 +13,18 @@ import (
 
 func newTenantHost(t *testing.T, frames int, tc TenancyConfig) (*System, *sim.Engine) {
 	t.Helper()
-	eng := sim.New()
-	sys, err := NewSystem(eng,
-		WithCacheFrames(frames),
-		WithCores(2),
-		WithRemoteBytes(64<<20),
-		WithFabric(fabric.DefaultParams()),
-		WithTenancy(tc),
-	)
-	if err != nil {
+	cfg := Config{
+		CacheFrames: frames,
+		Cores:       2,
+		RemoteBytes: 64 << 20,
+		Fabric:      fabric.DefaultParams(),
+		Tenancy:     &tc,
+	}
+	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return sys, eng
+	eng := sim.New()
+	return New(eng, cfg), eng
 }
 
 // TestTenantIsolatedWorkloads runs two tenants over one pool: each gets its
@@ -110,12 +110,11 @@ func TestTenantQuotaPlanWeights(t *testing.T) {
 func TestNewTenantAdmissionRules(t *testing.T) {
 	okQuota := tenant.Quota{Weight: 1}
 	t.Run("without tenancy", func(t *testing.T) {
-		eng := sim.New()
-		sys, err := NewSystem(eng, WithCacheFrames(64), WithCores(1),
-			WithRemoteBytes(8<<20), WithFabric(fabric.DefaultParams()))
-		if err != nil {
+		cfg := Config{CacheFrames: 64, Cores: 1, RemoteBytes: 8 << 20, Fabric: fabric.DefaultParams()}
+		if err := cfg.Validate(); err != nil {
 			t.Fatal(err)
 		}
+		sys := New(sim.New(), cfg)
 		if _, err := sys.NewTenant(TenantSpec{Name: "a", Quota: okQuota}); err == nil ||
 			!strings.Contains(err.Error(), "Tenancy") {
 			t.Fatalf("admitted without tenancy: %v", err)

@@ -30,7 +30,8 @@ type AblationRow struct {
 // (§4.4) against an on-demand variant whose reclaimer only runs when the
 // free list is empty — quantifying how much "hide reclamation in the fetch
 // window" buys on the write path.
-func AblationEagerEviction(sc Scale) []AblationRow {
+func AblationEagerEviction(r *Run) []AblationRow {
+	sc := r.Scale
 	run := func(label string, mcfg *pagemgr.Config) AblationRow {
 		row := AblationRow{Label: label}
 		for pass, write := range map[int]bool{0: false, 1: true} {
@@ -55,9 +56,9 @@ func AblationEagerEviction(sc Scale) []AblationRow {
 			})
 			eng.Run()
 			if write {
-				collect("abl1/"+label+"/write", sys)
+				r.collect("abl1/"+label+"/write", sys)
 			} else {
-				collect("abl1/"+label+"/read", sys)
+				r.collect("abl1/"+label+"/read", sys)
 			}
 			gbs := stats.GBps(float64(sc.SeqPages*4096) / d.Seconds())
 			if write {
@@ -87,7 +88,8 @@ func AblationEagerEviction(sc Scale) []AblationRow {
 // in batches — shares a FIFO with the fault handler's fetches, so demand
 // fetches complete behind write-backs they have nothing to do with.
 // Sequential write at 12.5 % cache keeps the cleaner saturated.
-func AblationSharedQueue(sc Scale) []AblationRow {
+func AblationSharedQueue(r *Run) []AblationRow {
+	sc := r.Scale
 	run := func(label string, shared bool) AblationRow {
 		eng := sim.New()
 		sys := core.New(eng, core.Config{
@@ -105,7 +107,7 @@ func AblationSharedQueue(sc Scale) []AblationRow {
 			d = workloads.SeqWrite(sp, base, sc.SeqPages)
 		})
 		eng.Run()
-		collect("abl2/"+label, sys)
+		r.collect("abl2/"+label, sys)
 		return AblationRow{
 			Label:     label,
 			WriteGBs:  stats.GBps(float64(sc.SeqPages*4096) / d.Seconds()),
@@ -129,7 +131,8 @@ type MultiNodeRow struct {
 
 // ExtMultiNode measures sequential-read bandwidth as the remote backing is
 // sharded across 1, 2, and 4 memory nodes (page-round-robin striping).
-func ExtMultiNode(sc Scale) []MultiNodeRow {
+func ExtMultiNode(r *Run) []MultiNodeRow {
+	sc := r.Scale
 	var rows []MultiNodeRow
 	for _, nodes := range []int{1, 2, 4} {
 		eng := sim.New()
@@ -148,7 +151,7 @@ func ExtMultiNode(sc Scale) []MultiNodeRow {
 			d = workloads.SeqRead(sp, base, sc.SeqPages)
 		})
 		eng.Run()
-		collect(fmt.Sprintf("ext1/nodes=%d", nodes), sys)
+		r.collect(fmt.Sprintf("ext1/nodes=%d", nodes), sys)
 		row := MultiNodeRow{
 			Nodes:   nodes,
 			ReadGBs: stats.GBps(float64(sc.SeqPages*4096) / d.Seconds()),
@@ -176,7 +179,8 @@ type PlacementRow struct {
 // interleaves consecutive pages (even under any access pattern); blocked
 // placement keeps runs contiguous (one hot node at a time on a sweep);
 // hashed placement scatters pages pseudo-randomly (even in expectation).
-func ExtPlacement(sc Scale) []PlacementRow {
+func ExtPlacement(r *Run) []PlacementRow {
+	sc := r.Scale
 	const nodes = 4
 	var rows []PlacementRow
 	for _, pol := range placement.Policies() {
@@ -197,7 +201,7 @@ func ExtPlacement(sc Scale) []PlacementRow {
 			d = workloads.SeqRead(sp, base, sc.SeqPages)
 		})
 		eng.Run()
-		collect("ext3/"+pol.Name(), sys)
+		r.collect("ext3/"+pol.Name(), sys)
 		row := PlacementRow{
 			Policy:  pol.Name(),
 			ReadGBs: stats.GBps(float64(sc.SeqPages*4096) / d.Seconds()),
@@ -231,10 +235,10 @@ type ThreadScaleRow struct {
 // ExtThreadScaling runs PageRank on DiLOS at 12.5 % local memory with 1,
 // 2, and 4 worker threads — per-core queue pairs and per-core prefetch
 // mappers are what let fault handling scale with the cores (§4.5).
-func ExtThreadScaling(sc Scale) []ThreadScaleRow {
+func ExtThreadScaling(r *Run) []ThreadScaleRow {
 	var rows []ThreadScaleRow
 	for _, w := range []int{1, 2, 4} {
-		elapsed, check := gapbsRunWorkers(SysDiLOSRA, sc, false, 0.125, w)
+		elapsed, check := r.gapbsRun(SysDiLOSRA, false, 0.125, w)
 		rows = append(rows, ThreadScaleRow{Workers: w, Elapsed: elapsed, Check: check})
 	}
 	return rows

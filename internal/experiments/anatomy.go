@@ -32,9 +32,9 @@ var ext6Fractions = []float64{0.125, 0.25, 0.5}
 
 // ExtAnatomy runs a sequential write-then-read sweep on Fastswap and two
 // DiLOS flavours under its own flight recorders (independent of the
-// Telemetry global) and attributes every major fault to stages.
-func ExtAnatomy(sc Scale) []Ext6Row {
-	pages := sc.SeqPages / 4
+// TelemetrySink) and attributes every major fault to stages.
+func ExtAnatomy(r *Run) []Ext6Row {
+	pages := r.Scale.SeqPages / 4
 	if pages < 1024 {
 		pages = 1024
 	}
@@ -45,7 +45,7 @@ func ExtAnatomy(sc Scale) []Ext6Row {
 			rows = append(rows, Ext6Row{
 				System:   kind,
 				Fraction: frac,
-				Anatomy:  runAnatomy(kind, pages, frac),
+				Anatomy:  r.runAnatomy(kind, pages, frac),
 			})
 		}
 	}
@@ -54,16 +54,16 @@ func ExtAnatomy(sc Scale) []Ext6Row {
 
 // runAnatomy boots one system with a recorder sized to hold every fault of
 // the run (write sweep + read sweep + readahead-induced minors) and
-// returns the recording's fault anatomy. A -cores override (CoreCount > 1)
+// returns the recording's fault anatomy. A Cores override above one
 // splits the sweep into one worker per core over disjoint slices, so the
 // anatomy reflects concurrent fault handlers — the regime where the
 // sharded manager and the wide-lock baseline diverge.
-func runAnatomy(kind SystemKind, pages uint64, frac float64) telemetry.Anatomy {
+func (r *Run) runAnatomy(kind SystemKind, pages uint64, frac float64) telemetry.Anatomy {
 	rec := telemetry.NewRecorder(int(3*pages) + 1024)
 	eng := sim.New()
 	workers := 1
-	if CoreCount > 1 {
-		workers = CoreCount
+	if r.Cores > 1 {
+		workers = r.Cores
 	}
 	slice := func(c int) (lo, n uint64) {
 		per := pages / uint64(workers)
@@ -81,17 +81,13 @@ func runAnatomy(kind SystemKind, pages uint64, frac float64) telemetry.Anatomy {
 	}
 	switch kind {
 	case SysFastswap:
-		cores := 4
-		if CoreCount > 0 {
-			cores = CoreCount
-		}
 		sys := fastswap.New(eng, fastswap.Config{
 			CacheFrames: frames(pages, frac),
-			Cores:       cores,
+			Cores:       r.fswapCores(),
 			RemoteBytes: pages*fastswap.PageSize + (64 << 20),
 			Fabric:      fabric.DefaultParams(),
 			Tel:         rec,
-			SampleEvery: SampleEvery,
+			SampleEvery: r.SampleEvery,
 		})
 		sys.Start()
 		if workers == 1 {
@@ -113,7 +109,7 @@ func runAnatomy(kind SystemKind, pages uint64, frac float64) telemetry.Anatomy {
 			}
 		}
 		eng.Run()
-		collect("ext6/"+string(kind)+"/"+FracLabel(frac), sys)
+		r.collect("ext6/"+string(kind)+"/"+FracLabel(frac), sys)
 	default:
 		cfg := core.Config{
 			CacheFrames: frames(pages, frac),
@@ -121,11 +117,11 @@ func runAnatomy(kind SystemKind, pages uint64, frac float64) telemetry.Anatomy {
 			RemoteBytes: pages*core.PageSize + (64 << 20),
 			Fabric:      fabric.DefaultParams(),
 			Prefetcher:  pfFor(kind),
-			Batch:       Batch,
+			Batch:       r.Batch,
 			Tel:         rec,
-			SampleEvery: SampleEvery,
+			SampleEvery: r.SampleEvery,
 		}
-		applyCores(&cfg)
+		r.applyCores(&cfg)
 		sys := core.New(eng, cfg)
 		sys.Start()
 		if workers == 1 {
@@ -147,7 +143,7 @@ func runAnatomy(kind SystemKind, pages uint64, frac float64) telemetry.Anatomy {
 			}
 		}
 		eng.Run()
-		collect("ext6/"+string(kind)+"/"+FracLabel(frac), sys)
+		r.collect("ext6/"+string(kind)+"/"+FracLabel(frac), sys)
 	}
 	return telemetry.FaultAnatomy(rec)
 }

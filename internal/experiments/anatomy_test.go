@@ -8,7 +8,7 @@ import "testing"
 func TestExtAnatomySmoke(t *testing.T) {
 	sc := DefaultScale()
 	sc.SeqPages = 4096 // runAnatomy sweeps SeqPages/4 = 1024 pages
-	rows := ExtAnatomy(sc)
+	rows := ExtAnatomy(runAt(sc))
 	if len(rows) != len(ext6Fractions)*3 {
 		t.Fatalf("got %d rows, want %d", len(rows), len(ext6Fractions)*3)
 	}

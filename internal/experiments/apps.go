@@ -25,13 +25,14 @@ type CompletionRow struct {
 }
 
 // Fig7a reproduces Figure 7(a): quicksort completion time.
-func Fig7a(sc Scale) []CompletionRow {
+func Fig7a(r *Run) []CompletionRow {
+	sc := r.Scale
 	wsPages := sc.QuicksortN * 8 / 4096
 	var rows []CompletionRow
 	for _, kind := range []SystemKind{SysFastswap, SysDiLOSRA} {
 		for _, frac := range CacheFractions {
 			var check uint64
-			elapsed, _, _ := runOn(kind, wsPages, frac,
+			elapsed := r.runOn("fig7a", kind, wsPages, frac,
 				func(sp spaceLike, mmap func(uint64) (uint64, error)) {
 					base, _ := mmap(wsPages + 16)
 					workloads.FillRandomU64(sp, base, sc.QuicksortN, 7)
@@ -40,7 +41,7 @@ func Fig7a(sc Scale) []CompletionRow {
 						panic("fig7a: sort failed")
 					}
 					check = sp.LoadU64(base) ^ sp.LoadU64(base+(sc.QuicksortN-1)*8)
-				})
+				}).elapsed
 			rows = append(rows, CompletionRow{kind, frac, elapsed, check})
 		}
 	}
@@ -48,8 +49,8 @@ func Fig7a(sc Scale) []CompletionRow {
 }
 
 // Fig7b reproduces Figure 7(b): k-means completion time.
-func Fig7b(sc Scale) []CompletionRow {
-	cfg := workloads.DefaultKMeans(sc.KMeansPoints)
+func Fig7b(r *Run) []CompletionRow {
+	cfg := workloads.DefaultKMeans(r.Scale.KMeansPoints)
 	pb, ab, db := workloads.KMeansLayout(cfg)
 	wsPages := (pb + ab + db) / 4096
 	var rows []CompletionRow
@@ -57,7 +58,7 @@ func Fig7b(sc Scale) []CompletionRow {
 		for _, frac := range CacheFractions {
 			var check uint64
 			var elapsed sim.Time
-			runOn(kind, wsPages, frac,
+			r.runOn("fig7b", kind, wsPages, frac,
 				func(sp spaceLike, mmap func(uint64) (uint64, error)) {
 					base, _ := mmap(wsPages + 16)
 					workloads.KMeansInit(sp, base, cfg)
@@ -86,37 +87,37 @@ func snappyInput(sp space.Space, base, n uint64) {
 
 // Fig7c reproduces Figure 7(c): snappy compression completion time,
 // including the AIFM port.
-func Fig7c(sc Scale) []CompletionRow {
-	n := sc.SnappyBytes
+func Fig7c(r *Run) []CompletionRow {
+	n := r.Scale.SnappyBytes
 	wsPages := (3 * n) / 4096 // src + generous dst
 	var rows []CompletionRow
 	for _, kind := range []SystemKind{SysFastswap, SysDiLOSRA, SysDiLOSTCP} {
 		for _, frac := range CacheFractions {
 			var check uint64
-			elapsed, _, _ := runOn(kind, wsPages, frac,
+			elapsed := r.runOn("fig7c", kind, wsPages, frac,
 				func(sp spaceLike, mmap func(uint64) (uint64, error)) {
 					base, _ := mmap(wsPages + 16)
 					src, dst := base, base+n+4096
 					snappyInput(sp, src, n)
 					check = snappy.Compress(sp, src, n, dst)
-				})
+				}).elapsed
 			rows = append(rows, CompletionRow{kind, frac, elapsed, check})
 		}
 	}
-	rows = append(rows, aifmSnappy(sc, false)...)
+	rows = append(rows, r.aifmSnappy(false)...)
 	return rows
 }
 
 // Fig7d reproduces Figure 7(d): snappy decompression completion time.
-func Fig7d(sc Scale) []CompletionRow {
-	n := sc.SnappyBytes
+func Fig7d(r *Run) []CompletionRow {
+	n := r.Scale.SnappyBytes
 	wsPages := (3 * n) / 4096
 	var rows []CompletionRow
 	for _, kind := range []SystemKind{SysFastswap, SysDiLOSRA, SysDiLOSTCP} {
 		for _, frac := range CacheFractions {
 			var check uint64
 			var decompTime sim.Time
-			_, _, _ = runOn(kind, wsPages, frac,
+			r.runOn("fig7d", kind, wsPages, frac,
 				func(sp spaceLike, mmap func(uint64) (uint64, error)) {
 					base, _ := mmap(wsPages + 16)
 					src, comp, back := base, base+n+4096, base+2*(n+4096)
@@ -129,14 +130,14 @@ func Fig7d(sc Scale) []CompletionRow {
 			rows = append(rows, CompletionRow{kind, frac, decompTime, check})
 		}
 	}
-	rows = append(rows, aifmSnappy(sc, true)...)
+	rows = append(rows, r.aifmSnappy(true)...)
 	return rows
 }
 
 // aifmSnappy runs the AIFM port of the snappy workload: source and
 // destination live in remoteable byte arrays.
-func aifmSnappy(sc Scale, decompress bool) []CompletionRow {
-	n := sc.SnappyBytes
+func (r *Run) aifmSnappy(decompress bool) []CompletionRow {
+	n := r.Scale.SnappyBytes
 	var rows []CompletionRow
 	for _, frac := range CacheFractions {
 		eng := sim.New()
@@ -176,7 +177,7 @@ func aifmSnappy(sc Scale, decompress bool) []CompletionRow {
 			elapsed = th.Now() - t0
 		})
 		eng.Run()
-		collect("aifm.snappy/"+FracLabel(frac), sys)
+		r.collect("aifm.snappy/"+FracLabel(frac), sys)
 		rows = append(rows, CompletionRow{SysAIFM, frac, elapsed, check})
 	}
 	return rows
@@ -246,8 +247,8 @@ func (a *aifmByteSpace) Now() sim.Time               { return a.t.Now() }
 
 // Fig8 reproduces Figure 8: the DataFrame NYC-taxi analysis across AIFM,
 // DiLOS, DiLOS-TCP, and Fastswap.
-func Fig8(sc Scale) []CompletionRow {
-	rows8 := sc.DataframeRows
+func Fig8(r *Run) []CompletionRow {
+	rows8 := r.Scale.DataframeRows
 	wsPages := rows8 * 7 * 8 / 4096
 	var rows []CompletionRow
 	for _, kind := range []SystemKind{SysFastswap, SysDiLOSRA, SysDiLOSTCP} {
@@ -256,13 +257,13 @@ func Fig8(sc Scale) []CompletionRow {
 			var analysis sim.Time
 			// Time only the analysis (the paper reports query completion),
 			// not the data-set generation.
-			runOn(kind, wsPages, frac,
+			r.runOn("fig8", kind, wsPages, frac,
 				func(sp spaceLike, mmap func(uint64) (uint64, error)) {
 					f := dataframe.NewSpaceFrame(sp, rows8)
 					dataframe.Generate(f, 21)
-					r := dataframe.RunTaxiAnalysis(sp, f)
-					analysis = r.Elapsed
-					check = r.Checksum
+					res := dataframe.RunTaxiAnalysis(sp, f)
+					analysis = res.Elapsed
+					check = res.Checksum
 				})
 			rows = append(rows, CompletionRow{kind, frac, analysis, check})
 		}
@@ -284,27 +285,22 @@ func Fig8(sc Scale) []CompletionRow {
 				panic(err)
 			}
 			dataframe.Generate(f, 21)
-			r := dataframe.RunTaxiAnalysis(th, f)
-			analysis = r.Elapsed
-			check = r.Checksum
+			res := dataframe.RunTaxiAnalysis(th, f)
+			analysis = res.Elapsed
+			check = res.Checksum
 		})
 		eng.Run()
-		collect("aifm.dataframe/"+FracLabel(frac), sys)
+		r.collect("aifm.dataframe/"+FracLabel(frac), sys)
 		rows = append(rows, CompletionRow{SysAIFM, frac, analysis, check})
 	}
 	return rows
 }
 
-// gapbsRun executes PR or BC with 4 worker threads on a paging system.
-func gapbsRun(kind SystemKind, sc Scale, bc bool, frac float64) (sim.Time, uint64) {
-	return gapbsRunWorkers(kind, sc, bc, frac, 4)
-}
-
-// gapbsRunWorkers is gapbsRun with a configurable thread count (the ext2
-// thread-scaling extension).
-func gapbsRunWorkers(kind SystemKind, sc Scale, bc bool, frac float64, workers int) (sim.Time, uint64) {
+// gapbsRun executes PR or BC with the given worker thread count on a
+// paging system (Figure 9 runs 4; ext2 sweeps it).
+func (r *Run) gapbsRun(kind SystemKind, bc bool, frac float64, workers int) (sim.Time, uint64) {
 	eng := sim.New()
-	scale := sc.GraphScale
+	scale := r.Scale.GraphScale
 	n := uint64(1) << scale
 	// Working set: offsets + neighbours + kernel arrays.
 	wsPages := (n*16*4+(n+1)*8)/4096 + n*8*uint64(3*workers+workers+2)/4096
@@ -352,20 +348,20 @@ func gapbsRunWorkers(kind SystemKind, sc Scale, bc bool, frac float64, workers i
 	var src statsSource
 	switch kind {
 	case SysFastswap:
-		sys := fswap(eng, wsPages, frac)
+		sys := r.fswap(eng, wsPages, frac)
 		src = sys
 		launch(func(name string, coreID int, fn func(space.Space)) {
 			sys.Launch(name, coreID, func(sp *fastswap.FSProc) { fn(sp) })
 		})
 	default:
-		sys := dilos(eng, wsPages, frac, pfFor(kind), nil, nil, false)
+		sys := r.dilos(eng, wsPages, frac, pfFor(kind), nil, nil, false)
 		src = sys
 		launch(func(name string, coreID int, fn func(space.Space)) {
 			sys.Launch(name, coreID, func(sp *core.DDCProc) { fn(sp) })
 		})
 	}
 	eng.Run()
-	collect("gapbs/"+string(kind)+"/"+FracLabel(frac), src)
+	r.collect("gapbs/"+string(kind)+"/"+FracLabel(frac), src)
 	return elapsed, check
 }
 
@@ -375,11 +371,11 @@ func procOf(sp space.Space) *sim.Proc {
 }
 
 // Fig9a reproduces Figure 9(a): GAPBS PageRank processing time, 4 threads.
-func Fig9a(sc Scale) []CompletionRow {
+func Fig9a(r *Run) []CompletionRow {
 	var rows []CompletionRow
 	for _, kind := range []SystemKind{SysFastswap, SysDiLOSRA} {
 		for _, frac := range CacheFractions {
-			elapsed, check := gapbsRun(kind, sc, false, frac)
+			elapsed, check := r.gapbsRun(kind, false, frac, 4)
 			rows = append(rows, CompletionRow{kind, frac, elapsed, check})
 		}
 	}
@@ -387,11 +383,11 @@ func Fig9a(sc Scale) []CompletionRow {
 }
 
 // Fig9b reproduces Figure 9(b): GAPBS betweenness centrality, 4 threads.
-func Fig9b(sc Scale) []CompletionRow {
+func Fig9b(r *Run) []CompletionRow {
 	var rows []CompletionRow
 	for _, kind := range []SystemKind{SysFastswap, SysDiLOSRA} {
 		for _, frac := range CacheFractions {
-			elapsed, check := gapbsRun(kind, sc, true, frac)
+			elapsed, check := r.gapbsRun(kind, true, frac, 4)
 			rows = append(rows, CompletionRow{kind, frac, elapsed, check})
 		}
 	}

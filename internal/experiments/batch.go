@@ -55,121 +55,111 @@ func fillBatchStats(row *BatchRow, sys *core.System) {
 	}
 }
 
-// withBatch runs fn with the package-wide Batch toggle pinned to the leg's
-// mode (dilos() reads it at construction).
-func withBatch(batched bool, fn func()) {
-	old := Batch
-	Batch = batched
-	defer func() { Batch = old }()
-	fn()
-}
-
 // ext5Seq is the sequential read/write leg at 12.5 % cache with a 31-page
 // readahead window (Linux's default 128 KiB) — the configuration where
 // every window pays per-op doorbells today and batching has the most to
-// amortize.
-func ext5Seq(sc Scale, batched, write bool) BatchRow {
+// amortize. leg.Batch selects the submission mode.
+func ext5Seq(leg *Run, write bool) BatchRow {
+	sc := leg.Scale
 	name := "read"
 	if write {
 		name = "write"
 	}
-	row := BatchRow{Workload: "seq " + name + " 12.5%", Batched: batched}
-	withBatch(batched, func() {
-		eng := sim.New()
-		sys := dilos(eng, sc.SeqPages, 0.125, prefetch.NewReadahead(31), nil, nil, false)
-		var d sim.Time
-		sys.Launch("seq", 0, func(sp *core.DDCProc) {
-			base, _ := sys.MmapDDC(sc.SeqPages)
-			if write {
-				d = workloads.SeqWrite(sp, base, sc.SeqPages)
-			} else {
-				d = workloads.SeqRead(sp, base, sc.SeqPages)
-			}
-		})
-		eng.Run()
-		collect(fmt.Sprintf("ext5/seq-%s/%s", name, modeLabel(batched)), sys)
-		row.Elapsed = d
-		gbs := stats.GBps(float64(sc.SeqPages*4096) / d.Seconds())
+	row := BatchRow{Workload: "seq " + name + " 12.5%", Batched: leg.Batch}
+	eng := sim.New()
+	sys := leg.dilos(eng, sc.SeqPages, 0.125, prefetch.NewReadahead(31), nil, nil, false)
+	var d sim.Time
+	sys.Launch("seq", 0, func(sp *core.DDCProc) {
+		base, _ := sys.MmapDDC(sc.SeqPages)
 		if write {
-			row.WriteGBs = gbs
+			d = workloads.SeqWrite(sp, base, sc.SeqPages)
 		} else {
-			row.ReadGBs = gbs
+			d = workloads.SeqRead(sp, base, sc.SeqPages)
 		}
-		var tx int64
-		for _, l := range sys.Links {
-			tx += l.TxBytes.N
-		}
-		row.CleanGBs = stats.GBps(float64(tx) / d.Seconds())
-		fillBatchStats(&row, sys)
 	})
+	eng.Run()
+	leg.collect(fmt.Sprintf("ext5/seq-%s/%s", name, modeLabel(leg.Batch)), sys)
+	row.Elapsed = d
+	gbs := stats.GBps(float64(sc.SeqPages*4096) / d.Seconds())
+	if write {
+		row.WriteGBs = gbs
+	} else {
+		row.ReadGBs = gbs
+	}
+	var tx int64
+	for _, l := range sys.Links {
+		tx += l.TxBytes.N
+	}
+	row.CleanGBs = stats.GBps(float64(tx) / d.Seconds())
+	fillBatchStats(&row, sys)
 	return row
 }
 
 // ext5KMeans is the k-means leg: strided numeric scans whose prefetch
 // windows batch well.
-func ext5KMeans(sc Scale, batched bool) BatchRow {
-	row := BatchRow{Workload: "k-means 12.5%", Batched: batched}
-	withBatch(batched, func() {
-		cfg := workloads.DefaultKMeans(sc.KMeansPoints)
-		pb, ab, db := workloads.KMeansLayout(cfg)
-		wsPages := (pb + ab + db) / 4096
-		eng := sim.New()
-		sys := dilos(eng, wsPages, 0.125, prefetch.NewReadahead(0), nil, nil, false)
-		sys.Launch("kmeans", 0, func(sp *core.DDCProc) {
-			base, _ := sys.MmapDDC(wsPages + 16)
-			workloads.KMeansInit(sp, base, cfg)
-			row.Elapsed, _ = workloads.KMeans(sp, base, base+pb, base+pb+ab, cfg)
-		})
-		eng.Run()
-		collect("ext5/kmeans/"+modeLabel(batched), sys)
-		fillBatchStats(&row, sys)
+func ext5KMeans(leg *Run) BatchRow {
+	row := BatchRow{Workload: "k-means 12.5%", Batched: leg.Batch}
+	cfg := workloads.DefaultKMeans(leg.Scale.KMeansPoints)
+	pb, ab, db := workloads.KMeansLayout(cfg)
+	wsPages := (pb + ab + db) / 4096
+	eng := sim.New()
+	sys := leg.dilos(eng, wsPages, 0.125, prefetch.NewReadahead(0), nil, nil, false)
+	sys.Launch("kmeans", 0, func(sp *core.DDCProc) {
+		base, _ := sys.MmapDDC(wsPages + 16)
+		workloads.KMeansInit(sp, base, cfg)
+		row.Elapsed, _ = workloads.KMeans(sp, base, base+pb, base+pb+ab, cfg)
 	})
+	eng.Run()
+	leg.collect("ext5/kmeans/"+modeLabel(leg.Batch), sys)
+	fillBatchStats(&row, sys)
 	return row
 }
 
 // ext5Redis is the Redis GET leg over the paper's mixed value sizes.
-func ext5Redis(sc Scale, batched bool) BatchRow {
-	row := BatchRow{Workload: "redis GET mixed 12.5%", Batched: batched}
-	withBatch(batched, func() {
-		sizeOf := redis.SizeMixed()
-		nKeys, queries := sc.RedisKeysMix, sc.RedisQueries/4
-		var totalBytes uint64
-		for i := 0; i < nKeys; i++ {
-			totalBytes += uint64(sizeOf(i)) + 64
-		}
-		wsPages := totalBytes / 4096
-		eng := sim.New()
-		sys := dilos(eng, wsPages, 0.125, prefetch.NewReadahead(0), nil, nil, false)
-		sys.Launch("redis", 0, func(sp *core.DDCProc) {
-			srv := redis.NewServer(sp)
-			redis.PopulateGET(srv, nKeys, sizeOf)
-			res := redis.RunGET(sp, srv, nKeys, queries, sizeOf, 17)
-			row.OpsPerS = res.ThroughputOps()
-			row.Elapsed = res.Elapsed
-		})
-		eng.Run()
-		collect("ext5/redis-get-mixed/"+modeLabel(batched), sys)
-		fillBatchStats(&row, sys)
+func ext5Redis(leg *Run) BatchRow {
+	row := BatchRow{Workload: "redis GET mixed 12.5%", Batched: leg.Batch}
+	sizeOf := redis.SizeMixed()
+	nKeys, queries := leg.Scale.RedisKeysMix, leg.Scale.RedisQueries/4
+	var totalBytes uint64
+	for i := 0; i < nKeys; i++ {
+		totalBytes += uint64(sizeOf(i)) + 64
+	}
+	wsPages := totalBytes / 4096
+	eng := sim.New()
+	sys := leg.dilos(eng, wsPages, 0.125, prefetch.NewReadahead(0), nil, nil, false)
+	sys.Launch("redis", 0, func(sp *core.DDCProc) {
+		srv := redis.NewServer(sp)
+		redis.PopulateGET(srv, nKeys, sizeOf)
+		res := redis.RunGET(sp, srv, nKeys, queries, sizeOf, 17)
+		row.OpsPerS = res.ThroughputOps()
+		row.Elapsed = res.Elapsed
 	})
+	eng.Run()
+	leg.collect("ext5/redis-get-mixed/"+modeLabel(leg.Batch), sys)
+	fillBatchStats(&row, sys)
 	return row
 }
 
 // ExtBatch runs ext5: per-op vs doorbell-batched submission on four
 // workloads at 12.5 % local cache. Rows come in (per-op, batched) pairs
-// per workload so the printout reads as before/after.
-func ExtBatch(sc Scale) []BatchRow {
+// per workload so the printout reads as before/after. Each leg runs under
+// a copy of r's options with Batch pinned to the leg's mode.
+func ExtBatch(r *Run) []BatchRow {
+	perOp, batched := *r, *r
+	perOp.Batch, batched.Batch = false, true
+	legs := []*Run{&perOp, &batched}
 	var rows []BatchRow
-	for _, batched := range []bool{false, true} {
-		rows = append(rows, ext5Seq(sc, batched, false))
+	for _, leg := range legs {
+		rows = append(rows, ext5Seq(leg, false))
 	}
-	for _, batched := range []bool{false, true} {
-		rows = append(rows, ext5Seq(sc, batched, true))
+	for _, leg := range legs {
+		rows = append(rows, ext5Seq(leg, true))
 	}
-	for _, batched := range []bool{false, true} {
-		rows = append(rows, ext5KMeans(sc, batched))
+	for _, leg := range legs {
+		rows = append(rows, ext5KMeans(leg))
 	}
-	for _, batched := range []bool{false, true} {
-		rows = append(rows, ext5Redis(sc, batched))
+	for _, leg := range legs {
+		rows = append(rows, ext5Redis(leg))
 	}
 	return rows
 }

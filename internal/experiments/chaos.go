@@ -68,19 +68,14 @@ func chaosRunFor(pages uint64) sim.Time {
 	return (d + chaosBucket - 1) / chaosBucket * chaosBucket
 }
 
-// ExtChaosCrashAt exposes the scheduled outage start for the CLI's banner.
-func ExtChaosCrashAt() sim.Time { return chaosCrashAt }
-
-// ExtChaosCrashUntil exposes the scheduled outage end.
-func ExtChaosCrashUntil() sim.Time { return chaosCrashUntil }
-
 // ExtChaos runs ext4: a 2-node, fully replicated (Replicas: 2) DiLOS system
 // under a scheduled crash of memory node 1, with the health monitor armed.
 // The workload cycles a working set 8× its cache for a fixed span of
 // virtual time, so the throughput series shows the crash dip and the
-// recovery. Same seed ⇒ identical result, byte for byte.
-func ExtChaos(sc Scale, seed uint64) ChaosResult {
-	pages := sc.SeqPages / 8
+// recovery. Same ChaosSeed ⇒ identical result, byte for byte.
+func ExtChaos(r *Run) ChaosResult {
+	seed := r.ChaosSeed
+	pages := r.Scale.SeqPages / 8
 	if pages < 1024 {
 		pages = 1024
 	}
@@ -128,7 +123,7 @@ func ExtChaos(sc Scale, seed uint64) ChaosResult {
 		}
 	})
 	eng.Run()
-	collect("ext4/crash", sys)
+	r.collect("ext4/crash", sys)
 
 	res := ChaosResult{
 		Seed:           seed,

@@ -23,13 +23,6 @@ import (
 // the draining node mid-evacuation (chaos + health monitor) and the drain
 // still completes off the surviving replicas.
 
-// MigrateDrainNode is the node ext7 drains — cmd wires -migrate-drain.
-var MigrateDrainNode = 2
-
-// MigrateWatermark, when positive, arms continuous auto-rebalancing on
-// ext7's migration engine — cmd wires -migrate-watermark.
-var MigrateWatermark float64
-
 // ElasticResult is the ext7 outcome.
 type ElasticResult struct {
 	Pages uint64
@@ -92,7 +85,8 @@ type elasticLeg struct {
 	runFor      sim.Time
 }
 
-func runElasticLeg(pages uint64, node int, inj *chaos.Injector) elasticLeg {
+func (r *Run) runElasticLeg(pages uint64, inj *chaos.Injector) elasticLeg {
+	node := r.MigrateDrainNode
 	eng := sim.New()
 	// The recorder is always on here (unlike the other experiments): the
 	// windowed p99 needs per-fault spans. Recording adds no virtual time,
@@ -101,7 +95,7 @@ func runElasticLeg(pages uint64, node int, inj *chaos.Injector) elasticLeg {
 	// Half the default batch size: a 64 KiB burst per doorbell keeps the
 	// worst-case head-of-line wait a demand fault can land behind inside
 	// the 2× p99 budget, at the cost of a slower (still background) drain.
-	tun := migrate.Tuning{BatchPages: 16, Watermark: MigrateWatermark}
+	tun := migrate.Tuning{BatchPages: 16, Watermark: r.MigrateWatermark}
 	sys := core.New(eng, core.Config{
 		CacheFrames: frames(pages, 0.125),
 		Cores:       2,
@@ -112,7 +106,7 @@ func runElasticLeg(pages uint64, node int, inj *chaos.Injector) elasticLeg {
 		Chaos:       inj,
 		Migrate:     &tun,
 		Tel:         rec,
-		SampleEvery: SampleEvery,
+		SampleEvery: r.SampleEvery,
 	})
 	sys.Start()
 
@@ -201,15 +195,15 @@ func faultQuantiles(rec *telemetry.Recorder, from, to sim.Time) (p50, p99 sim.Ti
 // cache drains MigrateDrainNode mid-run (clean leg), then repeats the
 // drain with the draining node crashing mid-copy (chaos leg). Same
 // inputs ⇒ identical result, byte for byte.
-func ExtElastic(sc Scale, seed uint64) ElasticResult {
-	pages := sc.SeqPages / 4
+func ExtElastic(r *Run) ElasticResult {
+	pages := r.Scale.SeqPages / 4
 	if pages < 1024 {
 		pages = 1024
 	}
-	node := MigrateDrainNode
+	node, seed := r.MigrateDrainNode, r.ChaosSeed
 
-	clean := runElasticLeg(pages, node, nil)
-	collect("ext7/drain", clean.sys)
+	clean := r.runElasticLeg(pages, nil)
+	r.collect("ext7/drain", clean.sys)
 
 	res := ElasticResult{
 		Pages:        pages,
@@ -250,8 +244,8 @@ func ExtElastic(sc Scale, seed uint64) ElasticResult {
 			{Node: node, At: elasticDrainAt + 500*sim.Microsecond, Until: clean.runFor - 3*sim.Millisecond},
 		},
 	})
-	crash := runElasticLeg(pages, node, inj)
-	collect("ext7/drain-crash", crash.sys)
+	crash := r.runElasticLeg(pages, inj)
+	r.collect("ext7/drain-crash", crash.sys)
 	res.ChaosSeed = seed
 	res.ChaosDrainDoneAt = crash.drainDoneAt
 	res.ChaosPagesMoved = crash.sys.Mig.PagesMoved.N

@@ -8,10 +8,15 @@
 // MiB-scale working sets with the same local-cache *fractions*
 // (12.5/25/50/100 %), which preserve every shape the paper reports (see
 // DESIGN.md §2). Scale can be raised via the Scale struct.
+//
+// Every experiment takes a *Run: the Options of one invocation plus the
+// memo of the simulations its entries share. The package keeps no run
+// state of its own, so two runs never observe each other.
 package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"dilos/internal/core"
 	"dilos/internal/fabric"
@@ -25,54 +30,88 @@ import (
 	"dilos/internal/telemetry"
 )
 
-// Collect, when set, receives a labeled stats.Snapshot for every system an
-// experiment runs — cmd/dilosbench wires it to -stats. Snapshots are taken
-// after the simulation finishes, so they cover the whole run.
-var Collect func(label string, snap stats.Snapshot)
+// Options configures one invocation of the experiments. DefaultOptions
+// holds the published configuration; cmd/dilosbench binds each field to a
+// flag.
+type Options struct {
+	Scale Scale
 
-// Batch, when set, boots every DiLOS system the experiments construct with
-// doorbell-batched submission (core.Config.Batch) — cmd/dilosbench wires
-// it to -batch. Ext5 toggles it per leg to measure the win directly.
-var Batch bool
+	// Collect, when set, receives a labeled stats.Snapshot for every system
+	// an experiment runs (-stats). Snapshots are taken after the simulation
+	// finishes, so they cover the whole run.
+	Collect func(label string, snap stats.Snapshot)
+	// TelemetrySink, when set, boots every system with a flight recorder and
+	// receives each labeled run's recorder and sampler after the simulation
+	// finishes (sam may be nil) (-trace-out). Recording never perturbs
+	// simulated time.
+	TelemetrySink func(label string, rec *telemetry.Recorder, sam *telemetry.Sampler)
+	// SampleEvery is the gauge-sampling interval of every recorded run;
+	// zero keeps the recorders but disables periodic sampling.
+	SampleEvery sim.Time
 
-// CoreCount, when positive, overrides the 4-core default of the systems
-// the figure/table experiments boot and switches DiLOS to the per-core
-// sharded page manager (Shards = CoreCount) — cmd/dilosbench wires it to
-// -cores. Zero keeps every experiment's committed default configuration
-// (legacy unsharded manager), so the published numbers are untouched.
-var CoreCount int
+	// Batch boots every DiLOS system the experiments construct with
+	// doorbell-batched submission (core.Config.Batch). Ext5 measures both
+	// modes regardless.
+	Batch bool
+	// Cores, when positive, overrides the 4-core default of the systems the
+	// figure/table experiments boot and switches DiLOS to the per-core
+	// sharded page manager (Shards = Cores). Zero keeps every experiment's
+	// committed configuration (legacy unsharded manager).
+	Cores int
+	// ScalingCores are the core counts ext10 sweeps.
+	ScalingCores []int
 
-// WideLocks, when set alongside CoreCount, boots DiLOS systems with the
-// shared-structure wide-lock baseline instead of the sharded manager —
-// the ablation arm ext10 measures, exposed for ad-hoc -cores runs.
-var WideLocks bool
+	// ChaosSeed drives the deterministic fault injection and determinism
+	// legs of the seeded experiments (ext4, ext7, ext11, ext12).
+	ChaosSeed uint64
+	// MigrateDrainNode is the memory node ext7 drains (0-2).
+	MigrateDrainNode int
+	// MigrateWatermark, when positive, arms continuous auto-rebalancing on
+	// ext7's migration engine.
+	MigrateWatermark float64
+	// TenantAggressorRate caps ext8's aggressor fabric bandwidth in the
+	// isolated leg (bytes/s of token-bucket rate).
+	TenantAggressorRate int64
+	// KVLayers, KVSeqs and KVDecode shape ext12's KV cache: transformer
+	// depth (regions per sequence), concurrently live sequences, and decode
+	// rounds (tokens per sequence).
+	KVLayers, KVSeqs, KVDecode int
+}
 
-// applyCores applies the -cores override to one DiLOS config.
-func applyCores(cfg *core.Config) {
-	if CoreCount <= 0 {
-		return
-	}
-	cfg.Cores = CoreCount
-	if WideLocks {
-		cfg.Shards = 1
-		cfg.WideLocks = true
-	} else {
-		cfg.Shards = CoreCount
+// DefaultOptions is the configuration the published numbers come from.
+func DefaultOptions() Options {
+	return Options{
+		Scale:            DefaultScale(),
+		ScalingCores:     []int{1, 2, 4, 8},
+		ChaosSeed:        42,
+		MigrateDrainNode: 2,
+		// ≈8% of the 12.2 GB/s link leaves demand fetches a quiet wire.
+		TenantAggressorRate: 1024 << 20,
+		KVLayers:            8,
+		KVSeqs:              16,
+		KVDecode:            32,
 	}
 }
 
-// Telemetry, when set, boots every system the experiments construct with a
-// flight recorder and gauge sampler — cmd/dilosbench wires it to
-// -trace-out. The recording itself never perturbs simulated time.
-var Telemetry bool
+// Run is one invocation: its Options plus the memo of the sequential
+// sweeps already simulated (see seqRun). A Run is not safe for concurrent
+// use.
+type Run struct {
+	Options
+	seq map[seqKey]runResult
+}
 
-// SampleEvery is the gauge-sampling interval used when Telemetry is on.
-// Zero keeps the recorder but disables periodic sampling.
-var SampleEvery sim.Time
+// NewRun starts an invocation under o.
+func NewRun(o Options) *Run {
+	return &Run{Options: o, seq: map[seqKey]runResult{}}
+}
 
-// TelemetrySink, when set, receives each labeled run's recorder and
-// sampler after the simulation finishes (sam may be nil).
-var TelemetrySink func(label string, rec *telemetry.Recorder, sam *telemetry.Sampler)
+// applyCores applies the Cores override to one DiLOS config.
+func (r *Run) applyCores(cfg *core.Config) {
+	if r.Cores > 0 {
+		cfg.Cores, cfg.Shards = r.Cores, r.Cores
+	}
+}
 
 // statsSource is any paging system exposing its metric registry.
 type statsSource interface{ Registry() *stats.Registry }
@@ -82,32 +121,33 @@ type telemetrySource interface {
 	Telemetry() (*telemetry.Recorder, *telemetry.Sampler)
 }
 
-// collect feeds sys's snapshot to the Collect hook, if one is installed,
-// and its flight recording to the TelemetrySink.
-func collect(label string, sys statsSource) {
-	if CoreCount > 0 {
+// collect feeds sys's snapshot to the Collect hook and its flight
+// recording to the TelemetrySink, whichever are installed.
+func (r *Run) collect(label string, sys statsSource) {
+	if r.Cores > 0 {
 		// One stats block per -cores setting: the label carries the sweep
 		// point so blocks from different settings never alias.
-		label = fmt.Sprintf("cores%d/%s", CoreCount, label)
+		label = fmt.Sprintf("cores%d/%s", r.Cores, label)
 	}
-	if Collect != nil {
-		Collect(label, sys.Registry().Snapshot())
+	if r.Collect != nil {
+		r.Collect(label, sys.Registry().Snapshot())
 	}
-	if TelemetrySink != nil {
+	if r.TelemetrySink != nil {
 		if ts, ok := sys.(telemetrySource); ok {
 			if rec, sam := ts.Telemetry(); rec != nil {
-				TelemetrySink(label, rec, sam)
+				r.TelemetrySink(label, rec, sam)
 			}
 		}
 	}
 }
 
-// recorderFor returns a fresh flight recorder when Telemetry is on.
-func recorderFor() *telemetry.Recorder {
-	if !Telemetry {
-		return nil
+// telemetry returns the flight recorder and sampling interval a system
+// boots with: none unless a TelemetrySink will receive the recording.
+func (r *Run) telemetry() (*telemetry.Recorder, sim.Time) {
+	if r.TelemetrySink == nil {
+		return nil, 0
 	}
-	return telemetry.NewRecorder(0)
+	return telemetry.NewRecorder(0), r.SampleEvery
 }
 
 // Scale sizes the workloads. Zero values select the defaults.
@@ -147,19 +187,10 @@ func DefaultScale() Scale {
 // CacheFractions are the local-memory fractions the paper sweeps.
 var CacheFractions = []float64{0.125, 0.25, 0.5, 1.0}
 
-// FracLabel formats a cache fraction the way the paper's axes do.
+// FracLabel formats a cache fraction the way the paper's axes do
+// (0.125 → "12.5%").
 func FracLabel(f float64) string {
-	switch f {
-	case 0.125:
-		return "12.5%"
-	case 0.25:
-		return "25%"
-	case 0.5:
-		return "50%"
-	case 1.0:
-		return "100%"
-	}
-	return ""
+	return strconv.FormatFloat(f*100, 'g', -1, 64) + "%"
 }
 
 // SystemKind names an evaluated system configuration.
@@ -187,7 +218,7 @@ func frames(workingSetPages uint64, frac float64) int {
 }
 
 // dilos boots a DiLOS node for a working set.
-func dilos(eng *sim.Engine, wsPages uint64, frac float64, pf prefetch.Prefetcher,
+func (r *Run) dilos(eng *sim.Engine, wsPages uint64, frac float64, pf prefetch.Prefetcher,
 	g guide.Guide, eg pagemgr.EvictionGuide, tcp bool) *core.System {
 	params := fabric.DefaultParams()
 	if tcp {
@@ -200,11 +231,10 @@ func dilos(eng *sim.Engine, wsPages uint64, frac float64, pf prefetch.Prefetcher
 		Fabric:        params,
 		Prefetcher:    pf,
 		EvictionGuide: eg,
-		Batch:         Batch,
-		Tel:           recorderFor(),
-		SampleEvery:   SampleEvery,
+		Batch:         r.Batch,
 	}
-	applyCores(&cfg)
+	cfg.Tel, cfg.SampleEvery = r.telemetry()
+	r.applyCores(&cfg)
 	sys := core.New(eng, cfg)
 	if g != nil {
 		sys.AttachGuide(g)
@@ -213,20 +243,24 @@ func dilos(eng *sim.Engine, wsPages uint64, frac float64, pf prefetch.Prefetcher
 	return sys
 }
 
-// fswap boots a Fastswap node for a working set.
-func fswap(eng *sim.Engine, wsPages uint64, frac float64) *fastswap.System {
-	cores := 4
-	if CoreCount > 0 {
-		cores = CoreCount
+// fswapCores is the core count of the Fastswap systems the run boots.
+func (r *Run) fswapCores() int {
+	if r.Cores > 0 {
+		return r.Cores
 	}
-	sys := fastswap.New(eng, fastswap.Config{
+	return 4
+}
+
+// fswap boots a Fastswap node for a working set.
+func (r *Run) fswap(eng *sim.Engine, wsPages uint64, frac float64) *fastswap.System {
+	cfg := fastswap.Config{
 		CacheFrames: frames(wsPages, frac),
-		Cores:       cores,
+		Cores:       r.fswapCores(),
 		RemoteBytes: wsPages*fastswap.PageSize + (64 << 20),
 		Fabric:      fabric.DefaultParams(),
-		Tel:         recorderFor(),
-		SampleEvery: SampleEvery,
-	})
+	}
+	cfg.Tel, cfg.SampleEvery = r.telemetry()
+	sys := fastswap.New(eng, cfg)
 	sys.Start()
 	return sys
 }
@@ -246,34 +280,54 @@ func pfFor(kind SystemKind) prefetch.Prefetcher {
 // spaceLike abbreviates space.Space in the experiment closures.
 type spaceLike = space.Space
 
+// runResult is what runOn reads off a finished system.
+type runResult struct {
+	elapsed      sim.Time
+	major, minor int64
+	bd           BreakdownRow // per-fault mean segments; Label unset
+}
+
+// breakdown is the per-fault latency accounting both paging systems keep.
+type breakdown interface {
+	Mean() (exception, software, fetch, mapping, reclaim sim.Time)
+	Total() sim.Time
+}
+
+func breakdownRow(b breakdown) BreakdownRow {
+	e, s, f, m, rc := b.Mean()
+	return BreakdownRow{Exception: e, Software: s, Fetch: f, Map: m, Reclaim: rc, Total: b.Total()}
+}
+
 // runOn runs fn on the named paging system and returns elapsed virtual
-// time plus the fault counters — the common harness for Figures 7–9.
-func runOn(kind SystemKind, wsPages uint64, frac float64,
-	fn func(sp space.Space, mmap func(uint64) (uint64, error))) (sim.Time, int64, int64) {
+// time, the fault counters and the fault breakdown — the common harness
+// for Figures 1 and 6–9 and Tables 1–3. The -stats label is
+// id/kind/fraction.
+func (r *Run) runOn(id string, kind SystemKind, wsPages uint64, frac float64,
+	fn func(sp space.Space, mmap func(uint64) (uint64, error))) runResult {
 	eng := sim.New()
-	var elapsed sim.Time
-	var major, minor int64
+	var res runResult
+	label := id + "/" + string(kind) + "/" + FracLabel(frac)
 	switch kind {
 	case SysFastswap:
-		sys := fswap(eng, wsPages, frac)
+		sys := r.fswap(eng, wsPages, frac)
 		sys.Launch("app", 0, func(sp *fastswap.FSProc) {
 			t0 := sp.Now()
 			fn(sp, sys.MmapDDC)
-			elapsed = sp.Now() - t0
+			res.elapsed = sp.Now() - t0
 		})
 		eng.Run()
-		major, minor = sys.MajorFaults.N, sys.MinorFaults.N
-		collect(string(kind)+"/"+FracLabel(frac), sys)
+		res.major, res.minor, res.bd = sys.MajorFaults.N, sys.MinorFaults.N, breakdownRow(sys.BD)
+		r.collect(label, sys)
 	default:
-		sys := dilos(eng, wsPages, frac, pfFor(kind), nil, nil, kind == SysDiLOSTCP)
+		sys := r.dilos(eng, wsPages, frac, pfFor(kind), nil, nil, kind == SysDiLOSTCP)
 		sys.Launch("app", 0, func(sp *core.DDCProc) {
 			t0 := sp.Now()
 			fn(sp, sys.MmapDDC)
-			elapsed = sp.Now() - t0
+			res.elapsed = sp.Now() - t0
 		})
 		eng.Run()
-		major, minor = sys.MajorFaults.N, sys.MinorFaults.N
-		collect(string(kind)+"/"+FracLabel(frac), sys)
+		res.major, res.minor, res.bd = sys.MajorFaults.N, sys.MinorFaults.N, breakdownRow(sys.BD)
+		r.collect(label, sys)
 	}
-	return elapsed, major, minor
+	return res
 }

@@ -9,6 +9,13 @@ import (
 	"dilos/internal/stats"
 )
 
+// runAt is a fresh run value with the published options at scale sc.
+func runAt(sc Scale) *Run {
+	o := DefaultOptions()
+	o.Scale = sc
+	return NewRun(o)
+}
+
 // tiny keeps the smoke tests fast while exercising every experiment path.
 func tiny() Scale {
 	return Scale{
@@ -28,7 +35,7 @@ func tiny() Scale {
 }
 
 func TestFig1Shape(t *testing.T) {
-	rows := Fig1(tiny())
+	rows := Fig1(runAt(tiny()))
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -75,7 +82,8 @@ func TestFig2Shape(t *testing.T) {
 
 func TestTab1And3Shape(t *testing.T) {
 	sc := tiny()
-	t1 := Tab1(sc)
+	r := runAt(sc)
+	t1 := Tab1(r)
 	// At full scale majors land on exactly 1/cluster of pages (see the
 	// bench harness); the tiny smoke cache is small enough that readahead
 	// is occasionally curtailed near the watermark, so allow slack here.
@@ -85,7 +93,7 @@ func TestTab1And3Shape(t *testing.T) {
 	if t1.Minor <= t1.Major {
 		t.Fatalf("Fastswap minors = %d must dominate majors %d", t1.Minor, t1.Major)
 	}
-	rows := Tab3(sc)
+	rows := Tab3(r)
 	byKind := map[SystemKind]FaultCountRow{}
 	for _, r := range rows {
 		byKind[r.System] = r
@@ -102,7 +110,7 @@ func TestTab1And3Shape(t *testing.T) {
 }
 
 func TestTab2Shape(t *testing.T) {
-	rows := Tab2(tiny())
+	rows := Tab2(runAt(tiny()))
 	byKind := map[SystemKind]Tab2Row{}
 	for _, r := range rows {
 		byKind[r.System] = r
@@ -120,7 +128,7 @@ func TestTab2Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	rows := Fig6(tiny())
+	rows := Fig6(runAt(tiny()))
 	var fs, dl BreakdownRow
 	for _, r := range rows {
 		switch r.Label {
@@ -140,7 +148,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7aShape(t *testing.T) {
-	rows := Fig7a(tiny())
+	rows := Fig7a(runAt(tiny()))
 	check := rows[0].Check
 	for _, r := range rows {
 		if r.Check != check {
@@ -153,8 +161,7 @@ func TestFig7aShape(t *testing.T) {
 }
 
 func TestFig9bShape(t *testing.T) {
-	sc := tiny()
-	rows := Fig9b(sc)
+	rows := Fig9b(runAt(tiny()))
 	if best(rows, SysDiLOSRA, 0.125) >= best(rows, SysFastswap, 0.125) {
 		t.Fatal("DiLOS must beat Fastswap on BC at 12.5%")
 	}
@@ -176,7 +183,7 @@ func best(rows []CompletionRow, kind SystemKind, frac float64) sim.Time {
 }
 
 func TestFig10aShape(t *testing.T) {
-	rows := Fig10a(tiny())
+	rows := Fig10a(runAt(tiny()))
 	get := func(kind SystemKind, frac float64) RedisRow {
 		for _, r := range rows {
 			if r.System == kind && r.Fraction == frac {
@@ -197,7 +204,7 @@ func TestFig10aShape(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
-	rows := Fig12(tiny())
+	rows := Fig12(runAt(tiny()))
 	def, guided := rows[0], rows[1]
 	if guided.SavedBytes == 0 {
 		t.Fatal("guided paging saved nothing")
@@ -213,7 +220,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestAblationEagerEviction(t *testing.T) {
-	rows := AblationEagerEviction(tiny())
+	rows := AblationEagerEviction(runAt(tiny()))
 	eager, lazy := rows[0], rows[1]
 	if eager.WriteGBs <= lazy.WriteGBs {
 		t.Fatalf("eager eviction buys nothing on writes: %.2f vs %.2f",
@@ -222,7 +229,7 @@ func TestAblationEagerEviction(t *testing.T) {
 }
 
 func TestAblationSharedQueue(t *testing.T) {
-	rows := AblationSharedQueue(tiny())
+	rows := AblationSharedQueue(runAt(tiny()))
 	nothing, shared := rows[0], rows[1]
 	if nothing.FaultP99 >= shared.FaultP99 {
 		t.Fatalf("shared-nothing queues bought no tail-latency relief: %v vs %v",
@@ -231,7 +238,7 @@ func TestAblationSharedQueue(t *testing.T) {
 }
 
 func TestExtMultiNode(t *testing.T) {
-	rows := ExtMultiNode(tiny())
+	rows := ExtMultiNode(runAt(tiny()))
 	if len(rows) != 3 {
 		t.Fatal("want 3 configurations")
 	}
@@ -247,7 +254,7 @@ func TestExtMultiNode(t *testing.T) {
 }
 
 func TestExtPlacement(t *testing.T) {
-	rows := ExtPlacement(tiny())
+	rows := ExtPlacement(runAt(tiny()))
 	if len(rows) != len(placement.Policies()) {
 		t.Fatalf("rows = %d, want one per policy", len(rows))
 	}
@@ -282,21 +289,21 @@ func TestExtPlacement(t *testing.T) {
 
 func TestCollectHookSeesRuns(t *testing.T) {
 	var labels []string
-	Collect = func(label string, snap stats.Snapshot) {
+	r := runAt(tiny())
+	r.Collect = func(label string, snap stats.Snapshot) {
 		labels = append(labels, label)
 		if _, ok := snap.Counter("dilos.major_faults"); !ok {
 			t.Errorf("%s: snapshot missing dilos.major_faults", label)
 		}
 	}
-	defer func() { Collect = nil }()
-	ExtPlacement(tiny())
+	ExtPlacement(r)
 	if len(labels) != len(placement.Policies()) {
 		t.Fatalf("collected %d snapshots (%v), want one per policy", len(labels), labels)
 	}
 }
 
 func TestFig8Shape(t *testing.T) {
-	rows := Fig8(tiny())
+	rows := Fig8(runAt(tiny()))
 	get := func(kind SystemKind, frac float64) CompletionRow {
 		for _, r := range rows {
 			if r.System == kind && r.Fraction == frac {
@@ -326,7 +333,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig7cShape(t *testing.T) {
-	rows := Fig7c(tiny())
+	rows := Fig7c(runAt(tiny()))
 	var aifm, dilos, fs sim.Time
 	for _, r := range rows {
 		if r.Fraction != 0.125 {
@@ -352,7 +359,7 @@ func TestFig7cShape(t *testing.T) {
 }
 
 func TestExtThreadScaling(t *testing.T) {
-	rows := ExtThreadScaling(tiny())
+	rows := ExtThreadScaling(runAt(tiny()))
 	if len(rows) != 3 {
 		t.Fatal("want 3 thread counts")
 	}
@@ -365,7 +372,7 @@ func TestExtThreadScaling(t *testing.T) {
 }
 
 func TestFig7dShape(t *testing.T) {
-	rows := Fig7d(tiny())
+	rows := Fig7d(runAt(tiny()))
 	var aifm, dilos, fs sim.Time
 	for _, r := range rows {
 		if r.Fraction != 0.125 {
@@ -391,7 +398,7 @@ func TestFig7dShape(t *testing.T) {
 }
 
 func TestFig9aShape(t *testing.T) {
-	rows := Fig9a(tiny())
+	rows := Fig9a(runAt(tiny()))
 	check := rows[0].Check
 	for _, r := range rows[1:] {
 		if r.Check != check {
@@ -410,7 +417,7 @@ func TestFig10dAppAwareWins(t *testing.T) {
 	sc.RedisListElem = 6000
 	sc.RedisLists = 32
 	sc.RedisQueries = 800
-	rows := Fig10d(sc)
+	rows := Fig10d(runAt(sc))
 	var app, bestOther float64
 	for _, r := range rows {
 		if r.Fraction != 0.125 {
@@ -433,7 +440,7 @@ func TestExtChaosCrashRecovery(t *testing.T) {
 	// ext4's acceptance bar: a replicated run through a mid-run node crash
 	// completes with failover + re-replication observed and the throughput
 	// recovering after the node returns.
-	res := ExtChaos(tiny(), 42)
+	res := ExtChaos(runAt(tiny()))
 	if res.NodeFails < 1 || res.NodeRecoveries < 1 {
 		t.Fatalf("breaker never cycled: fails=%d recoveries=%d", res.NodeFails, res.NodeRecoveries)
 	}
@@ -469,12 +476,17 @@ func TestExtChaosCrashRecovery(t *testing.T) {
 }
 
 func TestExtChaosSameSeedReproduces(t *testing.T) {
-	a := ExtChaos(tiny(), 1234)
-	b := ExtChaos(tiny(), 1234)
+	seeded := func(seed uint64) ChaosResult {
+		r := runAt(tiny())
+		r.ChaosSeed = seed
+		return ExtChaos(r)
+	}
+	a := seeded(1234)
+	b := seeded(1234)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed diverged:\n%+v\nvs\n%+v", a, b)
 	}
-	c := ExtChaos(tiny(), 99)
+	c := seeded(99)
 	if reflect.DeepEqual(a.Series, c.Series) {
 		t.Fatal("different seeds produced identical timelines (suspicious)")
 	}

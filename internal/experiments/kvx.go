@@ -31,16 +31,6 @@ import (
 // (DiscardRange frees their frames en masse), fresh sequences recycle the
 // regions, and one long-lived survivor spills its cold early layers.
 
-// KV workload knobs, bound to dilosbench's -kv-* flags.
-var (
-	// KVLayers is the transformer depth (regions per sequence).
-	KVLayers = 8
-	// KVSeqs is the number of concurrently live sequences.
-	KVSeqs = 16
-	// KVDecode is the number of decode rounds (tokens per sequence).
-	KVDecode = 32
-)
-
 // KVFractions are the local-memory ratios ext12 sweeps.
 var KVFractions = []float64{0.125, 0.25, 0.5}
 
@@ -96,10 +86,11 @@ func kvRand(state *uint64) uint64 {
 // ext12Run executes the full phase-driver lifecycle on one arm at one
 // cache ratio and returns the measured row plus the rendered
 // observability page (the determinism leg's comparison bytes).
-func ext12Run(arm string, frac float64, seed uint64) (KVRow, []byte) {
+func (r *Run) ext12Run(arm string, frac float64) (KVRow, []byte) {
 	p := kvcache.DefaultParams()
-	p.Layers = KVLayers
-	wsPages := uint64(KVSeqs) * uint64(p.Layers) * p.RegionPages()
+	p.Layers = r.KVLayers
+	nSeqs, rounds := r.KVSeqs, r.KVDecode
+	wsPages := uint64(nSeqs) * uint64(p.Layers) * p.RegionPages()
 
 	eng := sim.New()
 	var pf prefetch.Prefetcher
@@ -113,9 +104,8 @@ func ext12Run(arm string, frac float64, seed uint64) (KVRow, []byte) {
 		Fabric:      fabric.DefaultParams(),
 		Prefetcher:  pf,
 		Batch:       true,
-		Tel:         recorderFor(),
-		SampleEvery: SampleEvery,
 	}
+	cfg.Tel, cfg.SampleEvery = r.telemetry()
 	// Prefetch never forces reclamation (it drops targets when the pool
 	// has no free frame), so the reclaimer's watermarks must cover a full
 	// layerwise burst — the vm.watermark tuning every inference box does.
@@ -124,7 +114,7 @@ func ext12Run(arm string, frac float64, seed uint64) (KVRow, []byte) {
 	mcfg.LowWater = cfg.CacheFrames / 4
 	mcfg.HighWater = cfg.CacheFrames / 2
 	cfg.Mgr = &mcfg
-	applyCores(&cfg)
+	r.applyCores(&cfg)
 	sys := core.New(eng, cfg)
 	var g *kvcache.Guide
 	if arm == "guided" {
@@ -135,19 +125,19 @@ func ext12Run(arm string, frac float64, seed uint64) (KVRow, []byte) {
 	row := KVRow{Arm: arm, Fraction: frac}
 	var cache *kvcache.Cache
 	sys.Launch("kv", 0, func(sp *core.DDCProc) {
-		c, err := kvcache.New(sys, p, KVSeqs)
+		c, err := kvcache.New(sys, p, nSeqs)
 		if err != nil {
 			panic(err)
 		}
 		cache = c
-		rng := seed
+		rng := r.ChaosSeed
 
 		// Prefill lengths leave room for every decode round: a sequence
-		// admitted at any point can still append KVDecode tokens.
-		avail := p.MaxTokens - KVDecode
+		// admitted at any point can still append every decode round's token.
+		avail := p.MaxTokens - rounds
 		if avail < 2 {
 			panic(fmt.Sprintf("ext12: %d decode rounds leave no room in %d-token regions",
-				KVDecode, p.MaxTokens))
+				rounds, p.MaxTokens))
 		}
 		var ttft sim.Time
 		prefill := func() *kvcache.Sequence {
@@ -165,12 +155,12 @@ func ext12Run(arm string, frac float64, seed uint64) (KVRow, []byte) {
 			return s
 		}
 
-		seqs := make([]*kvcache.Sequence, 0, KVSeqs)
-		for i := 0; i < KVSeqs; i++ {
+		seqs := make([]*kvcache.Sequence, 0, nSeqs)
+		for i := 0; i < nSeqs; i++ {
 			seqs = append(seqs, prefill())
 		}
-		for r := 0; r < KVDecode; r++ {
-			if r == KVDecode/2 {
+		for round := 0; round < rounds; round++ {
+			if round == rounds/2 {
 				// Churn: even-index sequences finish (frames freed en
 				// masse, no write-back) and fresh sequences recycle their
 				// regions.
@@ -188,7 +178,7 @@ func ext12Run(arm string, frac float64, seed uint64) (KVRow, []byte) {
 				}
 				row.DecodeTime += d
 				row.DecodeToks++
-				if r == KVDecode/2 && i == 1 {
+				if round == rounds/2 && i == 1 {
 					// The long-lived survivor spills its cold early layers
 					// while they are still resident from this step's reads —
 					// decode won't touch layer 0 again for a full model
@@ -212,7 +202,7 @@ func ext12Run(arm string, frac float64, seed uint64) (KVRow, []byte) {
 	if g != nil {
 		row.GuidePages = g.PrefetchPages.N
 	}
-	collect("ext12/"+arm+"@"+FracLabel(frac), sys)
+	r.collect("ext12/"+arm+"@"+FracLabel(frac), sys)
 	page := obs.AppendMetrics(nil, sys.Registry().Snapshot(), sys.Tel)
 	page = sys.AppendStatus(page, sys.Eng.Now())
 	return row, page
@@ -221,37 +211,36 @@ func ext12Run(arm string, frac float64, seed uint64) (KVRow, []byte) {
 // ExtKV runs ext12: three arms across KVFractions, the guided-vs-none
 // throughput gate at the smallest ratio, and a same-seed guided rerun
 // that must reproduce its row and observability page byte for byte.
-func ExtKV(sc Scale, seed uint64) KVResult {
-	res := KVResult{Seed: seed, Layers: KVLayers, Seqs: KVSeqs, Rounds: KVDecode}
+func ExtKV(r *Run) KVResult {
+	res := KVResult{Seed: r.ChaosSeed, Layers: r.KVLayers, Seqs: r.KVSeqs, Rounds: r.KVDecode}
 	var gRow KVRow
 	var gPage []byte
 	for _, f := range KVFractions {
 		for _, arm := range []string{"none", "readahead", "guided"} {
-			row, page := ext12Run(arm, f, seed)
+			row, page := r.ext12Run(arm, f)
 			res.Rows = append(res.Rows, row)
 			if arm == "guided" && f == KVFractions[0] {
 				gRow, gPage = row, page
 			}
 		}
 	}
-	for _, r := range res.Rows {
-		if r.Fraction == KVFractions[0] && r.Arm == "none" && r.TokPerSec > 0 {
-			res.SpeedupSmallest = gRow.TokPerSec / r.TokPerSec
+	for _, row := range res.Rows {
+		if row.Fraction == KVFractions[0] && row.Arm == "none" && row.TokPerSec > 0 {
+			res.SpeedupSmallest = gRow.TokPerSec / row.TokPerSec
 		}
 	}
-	row2, page2 := ext12Run("guided", KVFractions[0], seed)
+	row2, page2 := r.ext12Run("guided", KVFractions[0])
 	res.Deterministic = row2 == gRow && bytes.Equal(gPage, page2)
 	res.MetricsHasKV = bytes.Contains(gPage, []byte("kvcache_"))
 	res.PageBytes = len(gPage)
 	return res
 }
 
-func runExt12(sc Scale) {
+func printExt12(r KVResult) {
 	fmt.Println("Extension — KV-cache tiering over the pool (ext12)")
 	fmt.Printf("  [%d layers × %d seqs × %d decode rounds; prefill flushes layers through the\n",
-		KVLayers, KVSeqs, KVDecode)
+		r.Layers, r.Seqs, r.Rounds)
 	fmt.Println("   batched write path; guided arm prefetches layer L+1 behind layer L's compute]")
-	r := ExtKV(DefaultScale(), ChaosSeed)
 	fmt.Println("  arm        cache    TTFT(µs)  TPOT(µs)  p99(µs)   tok/s     majors")
 	for _, row := range r.Rows {
 		fmt.Printf("  %-9s  %-6s  %s  %s  %s  %9.0f  %7d\n",
@@ -265,6 +254,5 @@ func runExt12(sc Scale) {
 }
 
 func init() {
-	Register("ext12", "extension: KV-cache tiering — TTFT/TPOT across cache ratios, guided vs readahead", false, runExt12)
-	RegisterJSON("ext12", func(sc Scale) any { return ExtKV(sc, ChaosSeed) })
+	Register("ext12", "extension: KV-cache tiering — TTFT/TPOT across cache ratios, guided vs readahead", false, ExtKV, printExt12)
 }

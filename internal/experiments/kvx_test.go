@@ -10,7 +10,7 @@ func TestExtKVGates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ext12 runs ten full systems")
 	}
-	r := ExtKV(DefaultScale(), 42)
+	r := ExtKV(NewRun(DefaultOptions()))
 
 	if want := len(KVFractions) * 3; len(r.Rows) != want {
 		t.Fatalf("got %d rows, want %d (3 arms × %d ratios)", len(r.Rows), want, len(KVFractions))

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"dilos/internal/core"
 	"dilos/internal/fabric"
-	"dilos/internal/fastswap"
 	"dilos/internal/memnode"
 	"dilos/internal/sim"
 	"dilos/internal/stats"
@@ -11,7 +9,48 @@ import (
 )
 
 // This file regenerates the microbenchmark artifacts: Figures 1, 2, 6 and
-// Tables 1, 2, 3 (§3.1, §6.1).
+// Tables 1, 2, 3 (§3.1, §6.1). All but Figure 2 are views of one
+// sequential sweep over Scale.SeqPages, so they project seqRun's memoised
+// results instead of each simulating its own.
+
+// seqKey names one sequential sweep by every input that changes its
+// outcome.
+type seqKey struct {
+	kind  SystemKind
+	frac  float64
+	write bool
+	pages uint64
+	batch bool
+	cores int
+}
+
+// seqRun runs a sequential read (or write) of Scale.SeqPages on kind at
+// cache fraction frac, or returns the result of the identical sweep this
+// run already simulated.
+func (r *Run) seqRun(kind SystemKind, frac float64, write bool) runResult {
+	pages := r.Scale.SeqPages
+	key := seqKey{kind, frac, write, pages, r.Batch, r.Cores}
+	if res, ok := r.seq[key]; ok {
+		return res
+	}
+	id := "seq-read"
+	if write {
+		id = "seq-write"
+	}
+	res := r.runOn(id, kind, pages, frac, func(sp spaceLike, mmap func(uint64) (uint64, error)) {
+		base, _ := mmap(pages)
+		if write {
+			workloads.SeqWrite(sp, base, pages)
+		} else {
+			workloads.SeqRead(sp, base, pages)
+		}
+	})
+	r.seq[key] = res
+	return res
+}
+
+// seqKinds are the systems Tables 2 and 3 compare.
+var seqKinds = []SystemKind{SysFastswap, SysDiLOSNone, SysDiLOSRA, SysDiLOSTrend}
 
 // BreakdownRow is one bar of Figures 1/6: per-fault mean latency segments.
 type BreakdownRow struct {
@@ -24,34 +63,23 @@ type BreakdownRow struct {
 	Total     sim.Time
 }
 
+// seqBreakdown is the fault breakdown of a sequential read, labeled.
+func (r *Run) seqBreakdown(label string, kind SystemKind, frac float64) BreakdownRow {
+	row := r.seqRun(kind, frac, false).bd
+	row.Label = label
+	return row
+}
+
 // Fig1 reproduces Figure 1: the latency breakdown of Fastswap's page fault
 // handler during sequential read — the average case (12.5 % cache, steady
 // reclamation) and the no-reclamation case (cache ≥ working set, cold
 // faults only).
-func Fig1(sc Scale) []BreakdownRow {
-	run := func(label string, frac float64) BreakdownRow {
-		eng := sim.New()
-		sys := fswap(eng, sc.SeqPages, frac)
-		sys.Launch("seq", 0, func(sp *fastswap.FSProc) {
-			base, err := sys.MmapDDC(sc.SeqPages)
-			if err != nil {
-				panic(err)
-			}
-			workloads.SeqRead(sp, base, sc.SeqPages)
-		})
-		eng.Run()
-		collect("fig1/"+label, sys)
-		e, m, f, mp, r := sys.BD.Mean()
-		return BreakdownRow{
-			Label: label, Exception: e, Software: m, Fetch: f, Map: mp,
-			Reclaim: r, Total: sys.BD.Total(),
-		}
-	}
+func Fig1(r *Run) []BreakdownRow {
 	return []BreakdownRow{
-		run("Average", 0.125),
+		r.seqBreakdown("Average", SysFastswap, 0.125),
 		// 1.5x headroom: with cache == working set exactly, the tail of a
 		// cold sweep still dips below the watermarks.
-		run("No reclamation", 1.5),
+		r.seqBreakdown("No reclamation", SysFastswap, 1.5),
 	}
 }
 
@@ -93,28 +121,22 @@ type FaultCountRow struct {
 	Total  int64
 }
 
+// seqFaults is the fault count row of a sequential read at 12.5 % cache.
+func (r *Run) seqFaults(kind SystemKind) FaultCountRow {
+	res := r.seqRun(kind, 0.125, false)
+	return FaultCountRow{System: kind, Major: res.major, Minor: res.minor, Total: res.major + res.minor}
+}
+
 // Tab1 reproduces Table 1: page fault counts during a sequential read on
 // Fastswap with 12.5 % local cache.
-func Tab1(sc Scale) FaultCountRow {
-	_, major, minor := runOn(SysFastswap, sc.SeqPages, 0.125,
-		func(sp spaceLike, mmap func(uint64) (uint64, error)) {
-			base, _ := mmap(sc.SeqPages)
-			workloads.SeqRead(sp, base, sc.SeqPages)
-		})
-	return FaultCountRow{System: SysFastswap, Major: major, Minor: minor, Total: major + minor}
-}
+func Tab1(r *Run) FaultCountRow { return r.seqFaults(SysFastswap) }
 
 // Tab3 reproduces Table 3: fault counts for Fastswap and the DiLOS
 // prefetcher flavours on the same sequential read.
-func Tab3(sc Scale) []FaultCountRow {
+func Tab3(r *Run) []FaultCountRow {
 	var rows []FaultCountRow
-	for _, kind := range []SystemKind{SysFastswap, SysDiLOSNone, SysDiLOSRA, SysDiLOSTrend} {
-		_, major, minor := runOn(kind, sc.SeqPages, 0.125,
-			func(sp spaceLike, mmap func(uint64) (uint64, error)) {
-				base, _ := mmap(sc.SeqPages)
-				workloads.SeqRead(sp, base, sc.SeqPages)
-			})
-		rows = append(rows, FaultCountRow{System: kind, Major: major, Minor: minor, Total: major + minor})
+	for _, kind := range seqKinds {
+		rows = append(rows, r.seqFaults(kind))
 	}
 	return rows
 }
@@ -128,22 +150,14 @@ type Tab2Row struct {
 
 // Tab2 reproduces Table 2: sequential read and write throughput at 12.5 %
 // local cache.
-func Tab2(sc Scale) []Tab2Row {
+func Tab2(r *Run) []Tab2Row {
 	gbps := func(d sim.Time) float64 {
-		return stats.GBps(float64(sc.SeqPages*4096) / d.Seconds())
+		return stats.GBps(float64(r.Scale.SeqPages*4096) / d.Seconds())
 	}
 	var rows []Tab2Row
-	for _, kind := range []SystemKind{SysFastswap, SysDiLOSNone, SysDiLOSRA, SysDiLOSTrend} {
-		rd, _, _ := runOn(kind, sc.SeqPages, 0.125,
-			func(sp spaceLike, mmap func(uint64) (uint64, error)) {
-				base, _ := mmap(sc.SeqPages)
-				workloads.SeqRead(sp, base, sc.SeqPages)
-			})
-		wr, _, _ := runOn(kind, sc.SeqPages, 0.125,
-			func(sp spaceLike, mmap func(uint64) (uint64, error)) {
-				base, _ := mmap(sc.SeqPages)
-				workloads.SeqWrite(sp, base, sc.SeqPages)
-			})
+	for _, kind := range seqKinds {
+		rd := r.seqRun(kind, 0.125, false).elapsed
+		wr := r.seqRun(kind, 0.125, true).elapsed
 		rows = append(rows, Tab2Row{System: kind, ReadGBs: gbps(rd), WriteGBs: gbps(wr)})
 	}
 	return rows
@@ -151,26 +165,9 @@ func Tab2(sc Scale) []Tab2Row {
 
 // Fig6 reproduces Figure 6: fault-handler latency breakdown, DiLOS vs
 // Fastswap (both without prefetching), plus Fastswap without reclamation.
-func Fig6(sc Scale) []BreakdownRow {
-	rows := Fig1(sc) // Fastswap average + no-reclamation
+func Fig6(r *Run) []BreakdownRow {
+	rows := Fig1(r) // Fastswap average + no-reclamation
 	rows[0].Label = "Fastswap"
 	rows[1].Label = "Fastswap (no reclaim)"
-
-	eng := sim.New()
-	sys := dilos(eng, sc.SeqPages, 0.125, nil, nil, nil, false)
-	sys.Launch("seq", 0, func(sp *core.DDCProc) {
-		base, err := sys.MmapDDC(sc.SeqPages)
-		if err != nil {
-			panic(err)
-		}
-		workloads.SeqRead(sp, base, sc.SeqPages)
-	})
-	eng.Run()
-	collect("fig6/DiLOS", sys)
-	e, h, f, m, r := sys.BD.Mean()
-	rows = append(rows, BreakdownRow{
-		Label: "DiLOS", Exception: e, Software: h, Fetch: f, Map: m,
-		Reclaim: r, Total: sys.BD.Total(),
-	})
-	return rows
+	return append(rows, r.seqBreakdown("DiLOS", SysDiLOSNone, 0.125))
 }

@@ -21,8 +21,8 @@ import (
 //     plane attached (SLO monitor + journal + tail-sampled flight
 //     recorder) versus plane-off. The plane runs entirely in host time,
 //     so the virtual-time throughput must be *identical*, not merely
-//     within 1 % — the leg gates on equality. (Host-time cost is gated
-//     separately by BenchmarkFaultPathObs via scripts/benchcheck.sh.)
+//     within 1 % — the leg gates on equality. (Host-time cost is measured
+//     separately by BenchmarkFaultPathObs.)
 //   - Determinism: two same-seed plane-on runs must render byte-identical
 //     /metrics, /statusz, and /journalz pages — observability output is
 //     part of the reproducibility contract.
@@ -99,7 +99,8 @@ func ext11Plane() *obs.Plane {
 // ext11Seq runs the ext5 sequential-read leg (12.5 % cache, 31-page
 // readahead) with the given plane (nil = plane off) and returns elapsed
 // virtual time plus the system for post-run inspection.
-func ext11Seq(sc Scale, pl *obs.Plane) (sim.Time, *core.System) {
+func (r *Run) ext11Seq(pl *obs.Plane) (sim.Time, *core.System) {
+	sc := r.Scale
 	eng := sim.New()
 	cfg := core.Config{
 		CacheFrames: frames(sc.SeqPages, 0.125),
@@ -115,7 +116,7 @@ func ext11Seq(sc Scale, pl *obs.Plane) (sim.Time, *core.System) {
 		cfg.Tel = telemetry.NewRecorder(0)
 		cfg.Tel.SetPolicy(telemetry.SamplePolicy{Threshold: ext11Budget, KeepEvery: 16})
 	}
-	applyCores(&cfg)
+	r.applyCores(&cfg)
 	sys := core.New(eng, cfg)
 	sys.Start()
 	var d sim.Time
@@ -146,12 +147,12 @@ func ext11Render(sys *core.System, pl *obs.Plane) []byte {
 // switches on at ext11TailAt — or never, when storm is false. The
 // storm-free twin consumes the identical PRNG sequence (the window gate
 // is draw-free), so the two runs differ only in injected latency.
-func ext11Detect(sc Scale, seed uint64, storm bool) (*obs.Plane, *chaos.Injector) {
-	pages := sc.SeqPages / 8
+func (r *Run) ext11Detect(storm bool) (*obs.Plane, *chaos.Injector) {
+	pages := r.Scale.SeqPages / 8
 	if pages < 1024 {
 		pages = 1024
 	}
-	ccfg := chaos.Config{Seed: seed}
+	ccfg := chaos.Config{Seed: r.ChaosSeed}
 	if storm {
 		ccfg.TailProb = 0.6
 		ccfg.TailFactor = 30
@@ -185,47 +186,48 @@ func ext11Detect(sc Scale, seed uint64, storm bool) (*obs.Plane, *chaos.Injector
 	if storm {
 		label = "ext11/detect-storm"
 	}
-	collect(label, sys)
+	r.collect(label, sys)
 	return pl, inj
 }
 
-// ExtObs runs ext11. Same seed ⇒ identical result, byte for byte —
+// ExtObs runs ext11. Same ChaosSeed ⇒ identical result, byte for byte —
 // including every page the plane publishes.
-func ExtObs(sc Scale, seed uint64) ObsResult {
-	r := ObsResult{Seed: seed, TailAt: ext11TailAt}
+func ExtObs(r *Run) ObsResult {
+	res := ObsResult{Seed: r.ChaosSeed, TailAt: ext11TailAt}
 
 	// Overhead: plane off, then two same-seed plane-on runs (the second
 	// feeds the determinism comparison).
 	var offSys, onSys, onSys2 *core.System
-	r.OffElapsed, offSys = ext11Seq(sc, nil)
-	collect("ext11/seq-off", offSys)
+	res.OffElapsed, offSys = r.ext11Seq(nil)
+	r.collect("ext11/seq-off", offSys)
 	plOn := ext11Plane()
-	r.OnElapsed, onSys = ext11Seq(sc, plOn)
-	collect("ext11/seq-on", onSys)
+	res.OnElapsed, onSys = r.ext11Seq(plOn)
+	r.collect("ext11/seq-on", onSys)
 	plOn2 := ext11Plane()
-	on2, sys2 := ext11Seq(sc, plOn2)
+	on2, sys2 := r.ext11Seq(plOn2)
 	onSys2 = sys2
-	r.OffGBs = stats.GBps(float64(sc.SeqPages*4096) / r.OffElapsed.Seconds())
-	r.OnGBs = stats.GBps(float64(sc.SeqPages*4096) / r.OnElapsed.Seconds())
+	bytesRead := float64(r.Scale.SeqPages * 4096)
+	res.OffGBs = stats.GBps(bytesRead / res.OffElapsed.Seconds())
+	res.OnGBs = stats.GBps(bytesRead / res.OnElapsed.Seconds())
 
 	pageA := ext11Render(onSys, plOn)
 	pageB := ext11Render(onSys2, plOn2)
-	r.Deterministic = bytes.Equal(pageA, pageB) && r.OnElapsed == on2
-	r.PageBytes = len(pageA)
-	r.SampledOut = onSys.Tel.SampledOutTotal()
-	r.JournalEvents = len(plOn.Journal.Events())
-	r.CleanAlerts = plOn.Monitor.Raised.N + plOn2.Monitor.Raised.N
+	res.Deterministic = bytes.Equal(pageA, pageB) && res.OnElapsed == on2
+	res.PageBytes = len(pageA)
+	res.SampledOut = onSys.Tel.SampledOutTotal()
+	res.JournalEvents = len(plOn.Journal.Events())
+	res.CleanAlerts = plOn.Monitor.Raised.N + plOn2.Monitor.Raised.N
 
 	// Detection: storm and storm-free twins.
-	plStorm, inj := ext11Detect(sc, seed, true)
-	r.TailsInjected = inj.Tails.N
-	r.StormRaised = plStorm.Monitor.Raised.N
+	plStorm, inj := r.ext11Detect(true)
+	res.TailsInjected = inj.Tails.N
+	res.StormRaised = plStorm.Monitor.Raised.N
 	if at, ok := plStorm.Monitor.FirstRaise(""); ok {
-		r.Detected = true
-		r.DetectedAt = at
-		r.DetectLatency = at - ext11TailAt
+		res.Detected = true
+		res.DetectedAt = at
+		res.DetectLatency = at - ext11TailAt
 	}
-	plClean, _ := ext11Detect(sc, seed, false)
-	r.CleanAlerts += plClean.Monitor.Raised.N
-	return r
+	plClean, _ := r.ext11Detect(false)
+	res.CleanAlerts += plClean.Monitor.Raised.N
+	return res
 }

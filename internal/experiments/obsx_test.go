@@ -20,7 +20,9 @@ func TestExtObsGates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ext11 runs several full systems")
 	}
-	r := ExtObs(obsScale(), 7)
+	run := runAt(obsScale())
+	run.ChaosSeed = 7
+	r := ExtObs(run)
 
 	// Gate 1: always-on overhead. The plane runs in host time only; the
 	// virtual-time throughput plane-on must equal plane-off exactly —

@@ -30,7 +30,7 @@ type RedisRow struct {
 }
 
 // redisGET runs one GET configuration.
-func redisGET(kind SystemKind, frac float64, nKeys, queries int, sizeOf func(int) int) RedisRow {
+func (r *Run) redisGET(kind SystemKind, frac float64, nKeys, queries int, sizeOf func(int) int) RedisRow {
 	// Working set ≈ keys × mean value size (plus structures).
 	var totalBytes uint64
 	for i := 0; i < nKeys; i++ {
@@ -57,23 +57,23 @@ func redisGET(kind SystemKind, frac float64, nKeys, queries int, sizeOf func(int
 	var faultLat, minorLat *stats.Histogram
 	switch kind {
 	case SysFastswap:
-		sys := fswap(eng, wsPages, frac)
+		sys := r.fswap(eng, wsPages, frac)
 		src, faultLat, minorLat = sys, sys.FaultLat, sys.MinorFaultLat
 		sys.Launch("redis", 0, func(sp *fastswap.FSProc) { runSrv(sp, nil, sp.Proc()) })
 	case SysDiLOSApp:
 		g := redis.NewAppGuide()
-		sys := dilos(eng, wsPages, frac, nil, g, nil, false)
+		sys := r.dilos(eng, wsPages, frac, nil, g, nil, false)
 		src, faultLat, minorLat = sys, sys.FaultLat, sys.MinorFaultLat
 		sys.Launch("redis", 0, func(sp *core.DDCProc) { runSrv(sp, g, sp.Proc()) })
 	default:
-		sys := dilos(eng, wsPages, frac, pfFor(kind), nil, nil, false)
+		sys := r.dilos(eng, wsPages, frac, pfFor(kind), nil, nil, false)
 		src, faultLat, minorLat = sys, sys.FaultLat, sys.MinorFaultLat
 		sys.Launch("redis", 0, func(sp *core.DDCProc) { runSrv(sp, nil, sp.Proc()) })
 	}
 	eng.Run()
 	row.MajorFaultP99 = faultLat.P99()
 	row.MinorFaultP99 = minorLat.P99()
-	collect("redis.get/"+string(kind)+"/"+FracLabel(frac), src)
+	r.collect("redis.get/"+string(kind)+"/"+FracLabel(frac), src)
 	return row
 }
 
@@ -85,33 +85,34 @@ var redisSystems = []SystemKind{SysFastswap, SysDiLOSNone, SysDiLOSRA, SysDiLOST
 var redisFractions = []float64{0.125, 0.25, 0.5}
 
 // Fig10a reproduces Figure 10(a): GET throughput, 4 KiB values.
-func Fig10a(sc Scale) []RedisRow {
-	return fig10get(sc.RedisKeys4K, sc.RedisQueries, redis.SizeFixed(4096))
+func Fig10a(r *Run) []RedisRow {
+	return r.fig10get(r.Scale.RedisKeys4K, r.Scale.RedisQueries, redis.SizeFixed(4096))
 }
 
 // Fig10b reproduces Figure 10(b): GET throughput, 64 KiB values.
-func Fig10b(sc Scale) []RedisRow {
-	return fig10get(sc.RedisKeys64K, sc.RedisQueries/4, redis.SizeFixed(64<<10))
+func Fig10b(r *Run) []RedisRow {
+	return r.fig10get(r.Scale.RedisKeys64K, r.Scale.RedisQueries/4, redis.SizeFixed(64<<10))
 }
 
 // Fig10c reproduces Figure 10(c): GET throughput, mixed Facebook-photo
 // sizes (4–128 KiB).
-func Fig10c(sc Scale) []RedisRow {
-	return fig10get(sc.RedisKeysMix, sc.RedisQueries/4, redis.SizeMixed())
+func Fig10c(r *Run) []RedisRow {
+	return r.fig10get(r.Scale.RedisKeysMix, r.Scale.RedisQueries/4, redis.SizeMixed())
 }
 
-func fig10get(keys, queries int, sizeOf func(int) int) []RedisRow {
+func (r *Run) fig10get(keys, queries int, sizeOf func(int) int) []RedisRow {
 	var rows []RedisRow
 	for _, kind := range redisSystems {
 		for _, frac := range redisFractions {
-			rows = append(rows, redisGET(kind, frac, keys, queries, sizeOf))
+			rows = append(rows, r.redisGET(kind, frac, keys, queries, sizeOf))
 		}
 	}
 	return rows
 }
 
 // Fig10d reproduces Figure 10(d): LRANGE_100 throughput over many lists.
-func Fig10d(sc Scale) []RedisRow {
+func Fig10d(r *Run) []RedisRow {
+	sc := r.Scale
 	var rows []RedisRow
 	wsPages := uint64(sc.RedisListElem) * 130 / 4096
 	for _, kind := range redisSystems {
@@ -133,23 +134,23 @@ func Fig10d(sc Scale) []RedisRow {
 			var faultLat, minorLat *stats.Histogram
 			switch kind {
 			case SysFastswap:
-				sys := fswap(eng, wsPages, frac)
+				sys := r.fswap(eng, wsPages, frac)
 				src, faultLat, minorLat = sys, sys.FaultLat, sys.MinorFaultLat
 				sys.Launch("redis", 0, func(sp *fastswap.FSProc) { runSrv(sp, nil, sp.Proc()) })
 			case SysDiLOSApp:
 				g := redis.NewAppGuide()
-				sys := dilos(eng, wsPages, frac, nil, g, nil, false)
+				sys := r.dilos(eng, wsPages, frac, nil, g, nil, false)
 				src, faultLat, minorLat = sys, sys.FaultLat, sys.MinorFaultLat
 				sys.Launch("redis", 0, func(sp *core.DDCProc) { runSrv(sp, g, sp.Proc()) })
 			default:
-				sys := dilos(eng, wsPages, frac, pfFor(kind), nil, nil, false)
+				sys := r.dilos(eng, wsPages, frac, pfFor(kind), nil, nil, false)
 				src, faultLat, minorLat = sys, sys.FaultLat, sys.MinorFaultLat
 				sys.Launch("redis", 0, func(sp *core.DDCProc) { runSrv(sp, nil, sp.Proc()) })
 			}
 			eng.Run()
 			row.MajorFaultP99 = faultLat.P99()
 			row.MinorFaultP99 = minorLat.P99()
-			collect("redis.lrange/"+string(kind)+"/"+FracLabel(frac), src)
+			r.collect("redis.lrange/"+string(kind)+"/"+FracLabel(frac), src)
 			rows = append(rows, row)
 		}
 	}
@@ -173,9 +174,9 @@ type Tab4Row struct {
 
 // Tab4 reproduces Table 4: p99/p99.9 of GET (mixed) and LRANGE at 12.5 %
 // local memory.
-func Tab4(sc Scale) []Tab4Row {
-	get := fig10Filter(Fig10c(sc), 0.125)
-	lr := fig10Filter(Fig10d(sc), 0.125)
+func Tab4(r *Run) []Tab4Row {
+	get := fig10Filter(Fig10c(r), 0.125)
+	lr := fig10Filter(Fig10d(r), 0.125)
 	var rows []Tab4Row
 	for i, kind := range redisSystems {
 		rows = append(rows, Tab4Row{
@@ -193,9 +194,9 @@ func Tab4(sc Scale) []Tab4Row {
 
 func fig10Filter(rows []RedisRow, frac float64) []RedisRow {
 	var out []RedisRow
-	for _, r := range rows {
-		if r.Fraction == frac {
-			out = append(out, r)
+	for _, row := range rows {
+		if row.Fraction == frac {
+			out = append(out, row)
 		}
 	}
 	return out
@@ -216,15 +217,13 @@ type Fig12Row struct {
 // with the app-aware allocator's guided paging versus default full-page
 // paging. The paper populates 128 M × 128 B values, deletes ~70 %, and
 // sweeps GETs with ~25 % local memory; this run keeps those ratios.
-func Fig12(sc Scale) []Fig12Row {
+func Fig12(r *Run) []Fig12Row {
 	const nKeys = 24000 // 128 B values ⇒ ~4.6 MiB live + structures
 	const valSize = 128
 	run := func(guided bool) Fig12Row {
 		eng := sim.New()
 		wsPages := uint64(nKeys) * (valSize + 96) / 4096
 		var sys *core.System
-		var alloc *struct{ saved int64 }
-		_ = alloc
 		// Build the system; the eviction guide is the server's allocator,
 		// which doesn't exist until the workload runs, so wire it through
 		// a forwarding guide.
@@ -233,7 +232,7 @@ func Fig12(sc Scale) []Fig12Row {
 		if guided {
 			eg = fw
 		}
-		sys = dilos(eng, wsPages, 0.25, nil, nil, eg, false)
+		sys = r.dilos(eng, wsPages, 0.25, nil, nil, eg, false)
 		sys.Link.RxBW = stats.NewBandwidth("rx", sim.Millisecond)
 		sys.Link.TxBW = stats.NewBandwidth("tx", sim.Millisecond)
 		row := Fig12Row{Guided: guided}
@@ -256,7 +255,7 @@ func Fig12(sc Scale) []Fig12Row {
 		if guided {
 			label = "fig12/guided"
 		}
-		collect(label, sys)
+		r.collect(label, sys)
 		row.SavedBytes = sys.Mgr.VectorSaves.N
 		row.RxSeries = sys.Link.RxBW.Series()
 		row.TxSeries = sys.Link.TxBW.Series()

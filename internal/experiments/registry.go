@@ -24,38 +24,27 @@ type Entry struct {
 	// CoresAware marks experiments that consume the -cores sweep
 	// internally (ext10); the driver must not loop them per core count.
 	CoresAware bool
-	// Run prints the experiment's tables to stdout.
-	Run func(sc Scale)
-	// JSON, when set, returns the experiment's structured rows for -json.
-	JSON func(sc Scale) any
+	// Rows computes the experiment's structured rows; -json emits them.
+	Rows func(r *Run) any
+	// Print renders a value Rows returned as the paper-format tables.
+	Print func(rows any)
 }
-
-// ChaosSeed drives the deterministic fault injection and determinism legs
-// of the seeded experiments (ext4, ext7, ext11, ext12); cmd/dilosbench
-// binds it to -chaos-seed.
-var ChaosSeed uint64 = 42
 
 var registry []Entry
 
-// Register adds an experiment. Duplicate ids panic at init time — two
-// files claiming one id is a programming error, not a runtime condition.
-func Register(id, desc string, coresAware bool, run func(sc Scale)) {
+// Register adds an experiment: rows computes its structured rows once and
+// print renders those same rows as text. Duplicate ids panic at init time
+// — two files claiming one id is a programming error, not a runtime
+// condition.
+func Register[T any](id, desc string, coresAware bool, rows func(*Run) T, print func(T)) {
 	if _, ok := Lookup(id); ok {
 		panic(fmt.Sprintf("experiments: duplicate registration of %q", id))
 	}
-	registry = append(registry, Entry{ID: id, Desc: desc, CoresAware: coresAware, Run: run})
-}
-
-// RegisterJSON attaches a -json row producer to an already-registered
-// experiment.
-func RegisterJSON(id string, fn func(sc Scale) any) {
-	for i := range registry {
-		if registry[i].ID == id {
-			registry[i].JSON = fn
-			return
-		}
-	}
-	panic(fmt.Sprintf("experiments: RegisterJSON(%q) before Register", id))
+	registry = append(registry, Entry{
+		ID: id, Desc: desc, CoresAware: coresAware,
+		Rows:  func(r *Run) any { return rows(r) },
+		Print: func(v any) { print(v.(T)) },
+	})
 }
 
 // Lookup finds an experiment by id.

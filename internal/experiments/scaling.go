@@ -42,9 +42,6 @@ type ScalingResult struct {
 	ShardedSpeedup float64
 }
 
-// ScalingCores are the core counts ext10 sweeps.
-var ScalingCores = []int{1, 2, 4, 8}
-
 // Each core keeps a hot window of scalingHotPages resident pages at the
 // start of its partition and re-dirties scalingHotStride of them per
 // iteration, so write-back pressure scales with the core count.
@@ -64,8 +61,8 @@ func scalingPartPages(sc Scale) uint64 {
 
 // runScalingLeg runs one (cores, arm) cell and returns the aggregate major
 // faults, the elapsed virtual time (slowest core), and the fault p99.
-func runScalingLeg(sc Scale, cores int, sharded bool) (int64, sim.Time, sim.Time) {
-	partPages := scalingPartPages(sc)
+func (r *Run) runScalingLeg(cores int, sharded bool) (int64, sim.Time, sim.Time) {
+	partPages := scalingPartPages(r.Scale)
 	ws := partPages * uint64(cores)
 	cfg := core.Config{
 		CacheFrames: frames(ws, 0.25),
@@ -78,11 +75,10 @@ func runScalingLeg(sc Scale, cores int, sharded bool) (int64, sim.Time, sim.Time
 		// Two replicas double every write-back's wire work, which lands on
 		// the cleaner/reclaimer daemons — parallel per-shard work in the
 		// sharded arm, lock-hold time in the shared arm.
-		Replicas:    2,
-		Batch:       true,
-		Tel:         recorderFor(),
-		SampleEvery: SampleEvery,
+		Replicas: 2,
+		Batch:    true,
 	}
+	cfg.Tel, cfg.SampleEvery = r.telemetry()
 	// Both arms run the same daemon tuning; a tighter cleaner period keeps
 	// the write-back backlog bounded under this write-heavy workload.
 	mcfg := pagemgr.DefaultConfig(cfg.CacheFrames)
@@ -138,25 +134,25 @@ func runScalingLeg(sc Scale, cores int, sharded bool) (int64, sim.Time, sim.Time
 	if sharded {
 		arm = "sharded"
 	}
-	collect(fmt.Sprintf("ext10/%s/%dc", arm, cores), sys)
+	r.collect(fmt.Sprintf("ext10/%s/%dc", arm, cores), sys)
 	return sys.MajorFaults.N, elapsed, sys.FaultLat.P99()
 }
 
-// ExtScaling runs ext10: the core-count sweep over both arms.
-func ExtScaling(sc Scale) ScalingResult {
+// ExtScaling runs ext10: the ScalingCores sweep over both arms.
+func ExtScaling(r *Run) ScalingResult {
 	var res ScalingResult
-	for _, cores := range ScalingCores {
+	for _, cores := range r.ScalingCores {
 		row := ScalingRow{Cores: cores}
-		row.SharedFaults, row.SharedElapsed, row.SharedP99 = runScalingLeg(sc, cores, false)
-		row.ShardedFaults, row.ShardedElapsed, row.ShardedP99 = runScalingLeg(sc, cores, true)
+		row.SharedFaults, row.SharedElapsed, row.SharedP99 = r.runScalingLeg(cores, false)
+		row.ShardedFaults, row.ShardedElapsed, row.ShardedP99 = r.runScalingLeg(cores, true)
 		row.SharedRate = rate(row.SharedFaults, row.SharedElapsed)
 		row.ShardedRate = rate(row.ShardedFaults, row.ShardedElapsed)
 		res.Rows = append(res.Rows, row)
 	}
 	base, at4 := res.Rows[0], res.Rows[0]
-	for _, r := range res.Rows {
-		if r.Cores == 4 {
-			at4 = r
+	for _, row := range res.Rows {
+		if row.Cores == 4 {
+			at4 = row
 		}
 	}
 	if base.SharedRate > 0 {

@@ -7,9 +7,9 @@ import "testing"
 // near-linearly from 1 to 4 cores while the wide-lock baseline plateaus,
 // and the sharded tail latency stays flat while the shared tail balloons.
 func TestExtScalingGates(t *testing.T) {
-	res := ExtScaling(tiny())
-	if len(res.Rows) != len(ScalingCores) {
-		t.Fatalf("rows = %d, want %d", len(res.Rows), len(ScalingCores))
+	res := ExtScaling(runAt(tiny()))
+	if want := len(DefaultOptions().ScalingCores); len(res.Rows) != want {
+		t.Fatalf("rows = %d, want %d", len(res.Rows), want)
 	}
 	var at4 ScalingRow
 	for _, r := range res.Rows {
@@ -41,8 +41,8 @@ func TestExtScalingGates(t *testing.T) {
 // fault counts, elapsed time, and tail latency: the sharded daemons and
 // work stealing must not introduce schedule nondeterminism.
 func TestExtScalingDeterministic(t *testing.T) {
-	n1, e1, p1 := runScalingLeg(tiny(), 4, true)
-	n2, e2, p2 := runScalingLeg(tiny(), 4, true)
+	n1, e1, p1 := runAt(tiny()).runScalingLeg(4, true)
+	n2, e2, p2 := runAt(tiny()).runScalingLeg(4, true)
 	if n1 != n2 || e1 != e2 || p1 != p2 {
 		t.Fatalf("sharded leg not deterministic: (%d,%v,%v) vs (%d,%v,%v)", n1, e1, p1, n2, e2, p2)
 	}

@@ -30,11 +30,6 @@ import (
 // TenantGate× the solo baseline while the control leg exceeds it, and the
 // same-seed isolated leg is byte-identical across repeats.
 
-// TenantAggressorRate caps the aggressor's fabric bandwidth in the
-// isolated leg (bytes/s of token-bucket rate) — cmd wires -tenant-rate.
-// ≈8% of the 12.2 GB/s link leaves demand fetches a quiet wire.
-var TenantAggressorRate = int64(1024) << 20
-
 // TenantGate is the acceptance ratio for the isolated victim's p99.
 const TenantGate = 1.5
 
@@ -137,7 +132,7 @@ type tenantLeg struct {
 	snap   []byte // registry snapshot JSON (the determinism gate)
 }
 
-func runTenantLeg(sz tenantSizing, mode tenantLegMode) tenantLeg {
+func (r *Run) runTenantLeg(sz tenantSizing, mode tenantLegMode) tenantLeg {
 	eng := sim.New()
 	rec := telemetry.NewRecorder(1 << 15)
 
@@ -160,10 +155,10 @@ func runTenantLeg(sz tenantSizing, mode tenantLegMode) tenantLeg {
 		Cores:       2,
 		RemoteBytes: (sz.hot+sz.cold+sz.aggr)*core.PageSize + (64 << 20),
 		Fabric:      fabric.DefaultParams(),
-		Batch:       Batch,
+		Batch:       r.Batch,
 		Tenancy:     &tc,
 		Tel:         rec,
-		SampleEvery: SampleEvery,
+		SampleEvery: r.SampleEvery,
 	})
 
 	victim, err := sys.NewTenant(core.TenantSpec{
@@ -177,7 +172,7 @@ func runTenantLeg(sz tenantSizing, mode tenantLegMode) tenantLeg {
 	if mode != tenantSolo {
 		leg.aggr, err = sys.NewTenant(core.TenantSpec{
 			Name:       "aggressor",
-			Quota:      tenantQuota(sz.aggrQ, TenantAggressorRate),
+			Quota:      tenantQuota(sz.aggrQ, r.TenantAggressorRate),
 			Prefetcher: prefetch.NewReadahead(31),
 		})
 		if err != nil {
@@ -273,16 +268,16 @@ func tenantFaultQuantiles(rec *telemetry.Recorder, prefix string, from, to sim.T
 
 // ExtTenant runs ext8: solo baseline, isolated pair, unpartitioned
 // control, plus a repeat of the isolated leg for the byte-identity gate.
-func ExtTenant(sc Scale) TenantResult {
-	sz := tenantSizingFor(sc)
+func ExtTenant(r *Run) TenantResult {
+	sz := tenantSizingFor(r.Scale)
 
-	solo := runTenantLeg(sz, tenantSolo)
-	collect("ext8/solo", solo.sys)
-	iso := runTenantLeg(sz, tenantIso)
-	collect("ext8/isolated", iso.sys)
-	ctrl := runTenantLeg(sz, tenantCtrl)
-	collect("ext8/control", ctrl.sys)
-	rerun := runTenantLeg(sz, tenantIso)
+	solo := r.runTenantLeg(sz, tenantSolo)
+	r.collect("ext8/solo", solo.sys)
+	iso := r.runTenantLeg(sz, tenantIso)
+	r.collect("ext8/isolated", iso.sys)
+	ctrl := r.runTenantLeg(sz, tenantCtrl)
+	r.collect("ext8/control", ctrl.sys)
+	rerun := r.runTenantLeg(sz, tenantIso)
 
 	res := TenantResult{
 		VictimHotPages:  sz.hot,
@@ -294,7 +289,7 @@ func ExtTenant(sc Scale) TenantResult {
 		RunFor:          tenantRunFor,
 		MeasureFrom:     tenantWarmup,
 		Gate:            TenantGate,
-		AggrRate:        TenantAggressorRate,
+		AggrRate:        r.TenantAggressorRate,
 		Deterministic:   string(iso.snap) == string(rerun.snap),
 	}
 	const victimTracks = "tenant.victim.fault/core"

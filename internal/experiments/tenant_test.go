@@ -7,7 +7,7 @@ func TestExtTenantIsolationAndDeterminism(t *testing.T) {
 	// p99 within the gate while the unpartitioned control exceeds it, the
 	// bucket visibly throttles the aggressor, the floor survives a run full
 	// of rebalancer ticks, and the isolated leg repeats byte-identically.
-	res := ExtTenant(tiny())
+	res := ExtTenant(runAt(tiny()))
 	if res.SoloFaults == 0 || res.IsoFaults == 0 || res.CtrlFaults == 0 {
 		t.Fatalf("degenerate legs: faults solo=%d iso=%d ctrl=%d",
 			res.SoloFaults, res.IsoFaults, res.CtrlFaults)
