@@ -33,7 +33,6 @@ import (
 	"dilos/internal/space"
 	"dilos/internal/stats"
 	"dilos/internal/telemetry"
-	"dilos/internal/tenant"
 	"dilos/internal/workloads"
 )
 
@@ -112,10 +111,6 @@ func main() {
 		"live-drain a memory node mid-run: NODE or NODE@WHEN, e.g. 2@5ms (dilos only; arms the migration engine)")
 	watermark := flag.Float64("migrate-watermark", 0,
 		"imbalance watermark (0-1) for continuous auto-rebalancing, 0 = off (dilos only; arms the migration engine)")
-	tenants := flag.Int("tenants", 0,
-		"multi-tenant mode (dilos only): split the pool across N equal-weight tenants, run the workload in tenant 0 and a streaming-store neighbour in each other tenant")
-	tenantRate := flag.Int64("tenant-rate", 0,
-		"fabric token-bucket rate (bytes/s) capping each neighbour tenant, 0 = uncapped (needs -tenants >= 2)")
 	realNodes := flag.Int("real-nodes", 0,
 		"ext9 real-process mode: spawn N memnoded daemons, kill -9 one mid-run, verify against a host shadow (0 = off; ignores the simulator flags)")
 	realReplicas := flag.Int("real-replicas", 2, "replicas per page in -real-nodes mode")
@@ -166,8 +161,8 @@ func main() {
 	chaosOn := *chaosProfile != "" && *chaosProfile != "none"
 	migrateOn := *drainSpec != "" || *watermark > 0
 	obsOn := *metricsAddr != "" || *journalOut != ""
-	if *system != "dilos" && (*nodes != 1 || *replicas != 1 || *policyName != "striped" || chaosOn || migrateOn || *tenants > 0 || obsOn) {
-		fmt.Fprintf(os.Stderr, "-nodes/-replicas/-placement/-chaos-profile/-migrate-*/-tenants/-metrics-addr/-journal-out require -system dilos\n")
+	if *system != "dilos" && (*nodes != 1 || *replicas != 1 || *policyName != "striped" || chaosOn || migrateOn || obsOn) {
+		fmt.Fprintf(os.Stderr, "-nodes/-replicas/-placement/-chaos-profile/-migrate-*/-metrics-addr/-journal-out require -system dilos\n")
 		os.Exit(2)
 	}
 	// The HTTP sink binds once and survives the -cores sweep; each run
@@ -181,14 +176,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("obs: serving /metrics on http://%s/\n", addr)
-	}
-	if *tenants < 0 || *tenants == 1 {
-		fmt.Fprintf(os.Stderr, "-tenants wants 0 (off) or >= 2, got %d\n", *tenants)
-		os.Exit(2)
-	}
-	if *tenantRate > 0 && *tenants == 0 {
-		fmt.Fprintln(os.Stderr, "-tenant-rate needs -tenants >= 2")
-		os.Exit(2)
 	}
 	if *watermark < 0 || *watermark > 1 {
 		fmt.Fprintf(os.Stderr, "-migrate-watermark must be in [0,1], got %g\n", *watermark)
@@ -234,10 +221,6 @@ func main() {
 				os.Exit(2)
 			}
 			coresList = append(coresList, n)
-		}
-		if *tenants > 0 {
-			fmt.Fprintln(os.Stderr, "-cores boots the sharded manager, which does not compose with -tenants")
-			os.Exit(2)
 		}
 	}
 	if *wideLocks && *coresSpec == "" {
@@ -309,14 +292,6 @@ func main() {
 			if migrateOn {
 				cfg.Migrate = &migrate.Tuning{Watermark: *watermark}
 			}
-			if *tenants > 0 {
-				cfg.RemoteBytes = uint64(*tenants)*(*pages)*4096 + (128 << 20)
-				cfg.Tenancy = &core.TenancyConfig{
-					SlackFrames:    frames / 8,
-					RebalanceEvery: 500 * sim.Microsecond,
-					RebalanceStep:  8,
-				}
-			}
 			var pl *obs.Plane
 			if obsOn {
 				pl = obs.NewPlane()
@@ -335,45 +310,7 @@ func main() {
 			if guide != nil {
 				sys.AttachGuide(guide)
 			}
-			var tens []*core.Tenant
-			for i := 0; i < *tenants; i++ {
-				q := tenant.Quota{Weight: 1, FloorFrames: 48}
-				if i > 0 && *tenantRate > 0 {
-					q.FabricBytesPerSec = *tenantRate
-					q.FabricBurstBytes = 16 << 10
-				}
-				spec := core.TenantSpec{Name: fmt.Sprintf("t%d", i), Quota: q}
-				if i == 0 {
-					spec.Prefetcher = prefetcher
-				} else {
-					spec.Prefetcher = prefetch.NewReadahead(0)
-				}
-				tn, err := sys.NewTenant(spec)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(2)
-				}
-				tens = append(tens, tn)
-			}
 			sys.Start()
-			// Neighbour tenants stream stores over a working set the size of the
-			// workload's — thrashing their shares so tenant 0's numbers show what
-			// the quotas (and -tenant-rate) do and don't protect.
-			for i := 1; i < *tenants; i++ {
-				tn := tens[i]
-				cpu := 1 + (i-1)%3
-				tn.Launch("neighbour", cpu, func(sp *core.DDCProc) {
-					base, err := tn.MmapDDC(*pages)
-					if err != nil {
-						panic(err)
-					}
-					for round := 0; round < 2; round++ {
-						for p := uint64(0); p < *pages; p++ {
-							sp.StoreU64(base+p*4096, p)
-						}
-					}
-				})
-			}
 			if drainNode >= 0 {
 				// A plain proc (not a daemon) so the engine stays alive until the
 				// evacuation finishes even if the workload completes first; the
@@ -418,23 +355,14 @@ func main() {
 						pl.Monitor.Bad.N, pl.Monitor.Raised.N, pl.Monitor.Cleared.N)
 				}
 			}
-			app := sys
-			if len(tens) > 0 {
-				app = tens[0].Sys
-			}
 			launch = func(fn func(space.Space, func(uint64) (uint64, error))) {
-				app.Launch("app", 0, func(sp *core.DDCProc) { fn(sp, app.MmapDDC) })
+				sys.Launch("app", 0, func(sp *core.DDCProc) { fn(sp, sys.MmapDDC) })
 			}
 			report = func() {
 				fmt.Printf("faults: major=%d minor=%d late-map=%d prefetches=%d\n",
-					app.MajorFaults.N, app.MinorFaults.N, app.LateMapHits.N, app.Prefetches.N)
+					sys.MajorFaults.N, sys.MinorFaults.N, sys.LateMapHits.N, sys.Prefetches.N)
 				fmt.Printf("page manager: cleaned=%d evicted=%d sync-writes=%d\n",
-					app.Mgr.Cleaned.N, app.Mgr.Evicted.N, app.Mgr.SyncWrites.N)
-				for _, tn := range tens {
-					fmt.Printf("tenant %s: reserved=%d used=%d borrowed=%d major=%d evicted=%d alloc-waits=%d\n",
-						tn.Name, tn.View().Reserved(), tn.View().Used(), tn.View().Borrowed(),
-						tn.Sys.MajorFaults.N, tn.Sys.Mgr.Evicted.N, tn.Sys.Mgr.AllocWaits.N)
-				}
+					sys.Mgr.Cleaned.N, sys.Mgr.Evicted.N, sys.Mgr.SyncWrites.N)
 				fmt.Printf("network: rx=%d MB tx=%d MB\n",
 					sys.Link.RxBytes.N>>20, sys.Link.TxBytes.N>>20)
 				if sys.Mig != nil {

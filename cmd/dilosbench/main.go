@@ -115,8 +115,6 @@ func main() {
 		"memory node ext7 drains out of its 3-node pool (0-2)")
 	flag.Float64Var(&opts.MigrateWatermark, "migrate-watermark", opts.MigrateWatermark,
 		"occupancy-imbalance fraction that arms continuous auto-rebalancing on ext7's migration engine (0 = drain/join only)")
-	flag.Int64Var(&opts.TenantAggressorRate, "tenant-rate", opts.TenantAggressorRate,
-		"fabric token-bucket rate (bytes/s) capping ext8's aggressor tenant in the isolated leg")
 	flag.IntVar(&opts.KVLayers, "kv-layers", opts.KVLayers,
 		"ext12: transformer layers per sequence")
 	flag.IntVar(&opts.KVSeqs, "kv-seqs", opts.KVSeqs,

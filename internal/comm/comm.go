@@ -98,15 +98,3 @@ func (h *Hub) Cores() int { return len(h.qps) }
 func (h *Hub) QP(core int, m Module) *fabric.QP {
 	return h.qps[core][m]
 }
-
-// SetLimiter attaches one fabric-bandwidth limiter to every queue pair in
-// the hub. Multi-tenant systems call this with the tenant's token bucket:
-// all the tenant's traffic — faults, prefetch, write-back — drains from
-// one budget, which is exactly the shape of the noisy-neighbor problem.
-func (h *Hub) SetLimiter(lim fabric.Limiter) {
-	for _, core := range h.qps {
-		for _, qp := range core {
-			qp.Lim = lim
-		}
-	}
-}

@@ -215,9 +215,6 @@ func (h *HealthMonitor) watch(p *sim.Proc, node int) {
 			// drained, it re-asserts Draining right after.
 			if err := s.setNodeState(node, placement.Syncing); err == nil {
 				s.reReplicate(p, node)
-				for _, t := range s.tenants {
-					t.Sys.reReplicate(p, node)
-				}
 				if err := s.setNodeState(node, placement.Live); err != nil {
 					panic(fmt.Sprintf("core: health recovery of node %d: %v", node, err))
 				}

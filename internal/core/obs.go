@@ -15,7 +15,7 @@ import (
 )
 
 // emitEvent appends one control-plane event to the plane's journal, if
-// the system has one (tenant systems share the host's).
+// the system has one.
 func (s *System) emitEvent(at sim.Time, typ string, attrs ...obs.Attr) {
 	if s.Obs == nil || s.Obs.Journal == nil {
 		return
@@ -82,10 +82,21 @@ func (s *System) healthVerdict() (bool, string) {
 	return true, "ok"
 }
 
+// setNodeState drives the placement state machine and journals the
+// transition as a node_state event.
+func (s *System) setNodeState(node int, st placement.State) error {
+	if err := s.space.SetState(node, st); err != nil {
+		return err
+	}
+	s.emitEvent(s.Eng.Now(), "node_state",
+		obs.I("node", int64(node)), obs.S("state", st.String()))
+	return nil
+}
+
 // AppendStatus renders /statusz: membership states, per-shard cache
-// occupancy, tenant reservations, health-breaker counters, and the SLO
-// table. Deterministic — fixed iteration orders, integer rendering — so
-// same-seed runs publish byte-identical pages.
+// occupancy, health-breaker counters, and the SLO table. Deterministic —
+// fixed iteration orders, integer rendering — so same-seed runs publish
+// byte-identical pages.
 func (s *System) AppendStatus(dst []byte, now sim.Time) []byte {
 	dst = append(dst, "dilos status at "...)
 	dst = append(dst, now.String()...)
@@ -113,17 +124,6 @@ func (s *System) AppendStatus(dst []byte, now sim.Time) []byte {
 	dst = append(dst, " free="...)
 	dst = strconv.AppendInt(dst, int64(s.Pool.FreeCount()), 10)
 	dst = append(dst, '\n')
-	for _, t := range s.tenants {
-		dst = append(dst, "tenant "...)
-		dst = append(dst, t.Name...)
-		dst = append(dst, " reserved="...)
-		dst = strconv.AppendInt(dst, int64(t.view.Reserved()), 10)
-		dst = append(dst, " used="...)
-		dst = strconv.AppendInt(dst, int64(t.view.Used()), 10)
-		dst = append(dst, " floor="...)
-		dst = strconv.AppendInt(dst, int64(t.Quota.FloorFrames), 10)
-		dst = append(dst, '\n')
-	}
 	if s.Health != nil {
 		dst = append(dst, "health probes="...)
 		dst = strconv.AppendInt(dst, s.Health.Probes.N, 10)

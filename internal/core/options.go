@@ -64,23 +64,8 @@ func (c Config) normalized() (Config, error) {
 			return c, fmt.Errorf("core: %w", err)
 		}
 	}
-	if c.Tenancy != nil {
-		t := c.Tenancy
-		if t.SlackFrames < 0 || t.SlackFrames >= c.CacheFrames {
-			return c, fmt.Errorf("core: Tenancy.SlackFrames (%d) must be in [0,CacheFrames)", t.SlackFrames)
-		}
-		if t.RebalanceEvery < 0 {
-			return c, fmt.Errorf("core: Tenancy.RebalanceEvery (%v) is negative", t.RebalanceEvery)
-		}
-		if t.RebalanceEvery > 0 && t.RebalanceStep <= 0 {
-			return c, fmt.Errorf("core: Tenancy.RebalanceEvery without a positive RebalanceStep moves nothing")
-		}
-	}
 	if c.Shards < 0 {
 		return c, fmt.Errorf("core: Shards (%d) is negative; use 0 for the legacy unsharded path", c.Shards)
-	}
-	if c.Shards > 0 && c.Tenancy != nil {
-		return c, fmt.Errorf("core: Shards and Tenancy partition frames along different axes and do not compose; drop one")
 	}
 	if c.WideLocks && c.Shards < 1 {
 		return c, fmt.Errorf("core: WideLocks is the shared-structure ablation of the sharded path; it requires Shards >= 1")

@@ -64,21 +64,6 @@ func TestConfigValidateRules(t *testing.T) {
 		}, "Watermark"},
 		{"negative replicas", func(c *Config) { c.Replicas = -1 }, "negative"},
 		{"zero replicas defaults to one", func(c *Config) { c.Replicas = 0 }, ""},
-		{"tenancy slack too large", func(c *Config) {
-			c.Tenancy = &TenancyConfig{SlackFrames: 32}
-		}, "SlackFrames"},
-		{"tenancy negative slack", func(c *Config) {
-			c.Tenancy = &TenancyConfig{SlackFrames: -1}
-		}, "SlackFrames"},
-		{"tenancy rebalance without step", func(c *Config) {
-			c.Tenancy = &TenancyConfig{RebalanceEvery: sim.Millisecond}
-		}, "RebalanceStep"},
-		{"tenancy negative rebalance period", func(c *Config) {
-			c.Tenancy = &TenancyConfig{RebalanceEvery: -sim.Millisecond}
-		}, "RebalanceEvery"},
-		{"tenancy valid", func(c *Config) {
-			c.Tenancy = &TenancyConfig{SlackFrames: 8, RebalanceEvery: sim.Millisecond, RebalanceStep: 4}
-		}, ""},
 	}
 	for _, tc := range cases {
 		cfg := valid

@@ -163,10 +163,10 @@ type Config struct {
 	// this interval (0 disables sampling; spans are still recorded).
 	SampleEvery sim.Time
 	// Obs, when set, attaches the live observability plane (internal/obs):
-	// the publisher daemon evaluates per-tenant SLO burn rates every
-	// EvalEvery, control-plane events (breaker trips, drains, rebalances,
-	// steals, alert edges) land in the plane's journal, and — when a Sink
-	// is attached — rendered /metrics, /statusz, and /journalz pages are
+	// the publisher daemon evaluates SLO burn rates every EvalEvery,
+	// control-plane events (breaker trips, drains, rebalances, steals,
+	// alert edges) land in the plane's journal, and — when a Sink is
+	// attached — rendered /metrics, /statusz, and /journalz pages are
 	// published every PublishEvery. Nil is the plane-off configuration;
 	// every emission site is guarded, so a disabled run is untouched.
 	Obs *obs.Plane
@@ -191,19 +191,12 @@ type Config struct {
 	// positive Tuning.Watermark keeps per-node occupancy levelled
 	// continuously. Nil leaves the pool membership static after Start.
 	Migrate *migrate.Tuning
-	// Tenancy, when set, enables multi-tenant mode: NewTenant carves
-	// per-tenant Systems (own page table, placement space, prefetcher, and
-	// frame quota) out of this host, sharing the pool, fabric, and
-	// background services. See tenant.go.
-	Tenancy *TenancyConfig
 	// Shards shards the paging hot path per core: the frame pool keeps
 	// one LRU/clock list per shard (frames home to the faulting core), the
 	// page manager runs one cleaner/reclaimer pair per shard over
 	// per-shard scratch, and PTE transitions become narrow full-value
 	// CASes charged at Costs.TagCAS. 0 (default) keeps the legacy
 	// single-list layout byte-identical; typically set to Cores.
-	// Incompatible with Tenancy (the two partition frames along
-	// different axes).
 	Shards int
 	// WideLocks, with Shards ≥ 1, models the coarse shared-structure
 	// baseline the sharding replaces: one virtual-time lock held by the
@@ -225,7 +218,7 @@ type System struct {
 	Links []*fabric.Link
 	Hubs  []*comm.Hub
 	Table *pagetable.Table
-	Pool  dram.Frames
+	Pool  *dram.Pool
 	Mgr   *pagemgr.Manager
 	Hub   *comm.Hub
 	Costs Costs
@@ -267,19 +260,6 @@ type System struct {
 	registry *stats.Registry
 	heap     *heapArena
 
-	// Multi-tenant state (see tenant.go). arena is the physical frame pool
-	// tenant views carve up; svc is the shared cleaner/reclaimer service.
-	// host is nil on the host system and points back to it on the per-tenant
-	// systems NewTenant assembles.
-	arena    *dram.Pool
-	svc      *pagemgr.Service
-	tenancy  *TenancyConfig
-	tenants  []*Tenant
-	slack    *dram.Slack
-	policy   placement.Policy
-	replicas int
-	host     *System
-
 	// Construction parameters kept for AddMemNode/AttachBacking: a node
 	// joining mid-run gets the same link calibration and hub shape.
 	remoteBytes uint64
@@ -293,9 +273,8 @@ type System struct {
 	wideLocks bool
 	huge      []hugeSpan
 
-	// Obs is the live observability plane (nil when disabled). Tenant
-	// systems alias the host's plane; only the host runs the publisher
-	// daemon. sloMon/sloID are this system's objective registration — the
+	// Obs is the live observability plane (nil when disabled).
+	// sloMon/sloID are this system's objective registration — the
 	// fault path observes into them directly so the nil check stays cheap.
 	Obs    *obs.Plane
 	sloMon *obs.Monitor
@@ -473,7 +452,6 @@ func build(eng *sim.Engine, cfg Config) *System {
 		Hubs:     hubs,
 		Table:    tbl,
 		Pool:     pool,
-		arena:    pool,
 		Mgr:      mgr,
 		Hub:      hub,
 		Costs:    DefaultCosts(),
@@ -495,15 +473,12 @@ func build(eng *sim.Engine, cfg Config) *System {
 		sharedQP:    cfg.SharedQP,
 		shards:      cfg.Shards,
 		wideLocks:   cfg.WideLocks,
-		tenancy:     cfg.Tenancy,
-		policy:      cfg.Placement,
-		replicas:    cfg.Replicas,
 		pfQueue:     make([][]pfItem, cfg.Cores),
 		pfHeld:      make([]pfHeldItem, cfg.Cores),
 		pfWaiter:    make([]sim.Waiter, cfg.Cores),
 		pfScratch:   make([]pfScratch, cfg.Cores),
 	}
-	initMetrics(s, "")
+	initMetrics(s)
 	s.sloID = -1
 	if cfg.Obs != nil {
 		s.Obs = cfg.Obs
@@ -519,9 +494,6 @@ func build(eng *sim.Engine, cfg Config) *System {
 					obs.I("thief_shard", int64(thief)), obs.I("victim_shard", int64(victim)))
 			}
 		}
-	}
-	if cfg.Tenancy != nil && !cfg.Tenancy.NoIsolation {
-		s.slack = dram.NewSlack(cfg.Tenancy.SlackFrames)
 	}
 	if cfg.Tel != nil {
 		s.Tel = cfg.Tel
@@ -609,25 +581,23 @@ func build(eng *sim.Engine, cfg Config) *System {
 	return s
 }
 
-// initMetrics names the system's own metrics under pfx ("" for the host,
-// "tenant.<name>." for the per-tenant systems NewTenant assembles) and
-// allocates the histograms. Kept out of the construction literal so both
-// builders share one naming site.
-func initMetrics(s *System, pfx string) {
-	s.ReplicaFetches = stats.Counter{Name: pfx + "dilos.replica_fetches"}
-	s.ReReplicated = stats.Counter{Name: pfx + "dilos.rereplicated"}
-	s.PrefetchFails = stats.Counter{Name: pfx + "dilos.prefetch_fails"}
-	s.FetchRetries = fabric.NewRetryStats(pfx + "fetch")
-	s.MajorFaults = stats.Counter{Name: pfx + "dilos.major_faults"}
-	s.MinorFaults = stats.Counter{Name: pfx + "dilos.minor_faults"}
-	s.LateMapHits = stats.Counter{Name: pfx + "dilos.late_map_hits"}
-	s.GuidedFetches = stats.Counter{Name: pfx + "dilos.guided_fetches"}
-	s.Prefetches = stats.Counter{Name: pfx + "dilos.prefetches"}
-	s.FaultLat = stats.NewHistogram(pfx + "dilos.fault_latency")
-	s.MinorFaultLat = stats.NewHistogram(pfx + "dilos.minor_fault_latency")
-	s.CacheUsedG = stats.Gauge{Name: pfx + "dilos.cache_used_frames"}
-	s.PfQueueG = stats.Gauge{Name: pfx + "dilos.prefetch_queue_depth"}
-	s.PfWindowG = stats.Gauge{Name: pfx + "dilos.prefetch_window"}
+// initMetrics names the system's own metrics and allocates the
+// histograms.
+func initMetrics(s *System) {
+	s.ReplicaFetches = stats.Counter{Name: "dilos.replica_fetches"}
+	s.ReReplicated = stats.Counter{Name: "dilos.rereplicated"}
+	s.PrefetchFails = stats.Counter{Name: "dilos.prefetch_fails"}
+	s.FetchRetries = fabric.NewRetryStats("fetch")
+	s.MajorFaults = stats.Counter{Name: "dilos.major_faults"}
+	s.MinorFaults = stats.Counter{Name: "dilos.minor_faults"}
+	s.LateMapHits = stats.Counter{Name: "dilos.late_map_hits"}
+	s.GuidedFetches = stats.Counter{Name: "dilos.guided_fetches"}
+	s.Prefetches = stats.Counter{Name: "dilos.prefetches"}
+	s.FaultLat = stats.NewHistogram("dilos.fault_latency")
+	s.MinorFaultLat = stats.NewHistogram("dilos.minor_fault_latency")
+	s.CacheUsedG = stats.Gauge{Name: "dilos.cache_used_frames"}
+	s.PfQueueG = stats.Gauge{Name: "dilos.prefetch_queue_depth"}
+	s.PfWindowG = stats.Gauge{Name: "dilos.prefetch_window"}
 }
 
 // localContent copies page v's resident frame into buf, reporting false
@@ -661,28 +631,23 @@ func (s *System) buildRegistry() *stats.Registry {
 	r.RegisterGauge(&s.PfWindowG)
 	s.Mgr.RegisterStats(r)
 	s.FetchRetries.RegisterStats(r)
-	// Shared infrastructure (links, memory nodes, chaos, health, migration)
-	// belongs to the host; per-tenant systems only register their own view
-	// of the fault path so Merge into the host registry never collides.
-	if s.host == nil {
-		if s.Obs != nil && s.Obs.Monitor != nil {
-			s.Obs.Monitor.RegisterStats(r)
-		}
-		if s.Chaos != nil {
-			s.Chaos.RegisterStats(r)
-		}
-		if s.Health != nil {
-			s.Health.RegisterStats(r)
-		}
-		if s.Mig != nil {
-			s.Mig.RegisterStats(r)
-		}
-		for i, l := range s.Links {
-			s.registerLink(r, i, l)
-		}
-		for i, n := range s.Nodes {
-			s.registerMemNode(r, i, n)
-		}
+	if s.Obs != nil && s.Obs.Monitor != nil {
+		s.Obs.Monitor.RegisterStats(r)
+	}
+	if s.Chaos != nil {
+		s.Chaos.RegisterStats(r)
+	}
+	if s.Health != nil {
+		s.Health.RegisterStats(r)
+	}
+	if s.Mig != nil {
+		s.Mig.RegisterStats(r)
+	}
+	for i, l := range s.Links {
+		s.registerLink(r, i, l)
+	}
+	for i, n := range s.Nodes {
+		s.registerMemNode(r, i, n)
 	}
 	return r
 }
@@ -803,30 +768,6 @@ func (s *System) attachNode(b Backing, n *memnode.Node) int {
 	if got := s.space.AddNode(); got != id {
 		panic("core: placement node id out of sync with the fabric")
 	}
-	// Every tenant shares the new link but issues through its own hub (so
-	// its token bucket keeps gating all of its traffic), and its private
-	// address space grows in lockstep with the host's.
-	for _, t := range s.tenants {
-		ts := t.Sys
-		var th *comm.Hub
-		if s.sharedQP {
-			th = comm.NewSharedHub(l, s.cores, b.Key())
-		} else {
-			th = comm.NewHub(l, s.cores, b.Key())
-		}
-		if t.bucket != nil {
-			th.SetLimiter(t.bucket)
-		}
-		ts.backings = append(ts.backings, b)
-		ts.Links = append(ts.Links, l)
-		ts.Hubs = append(ts.Hubs, th)
-		if n != nil {
-			ts.Nodes = append(ts.Nodes, n)
-		}
-		if got := ts.space.AddNode(); got != id {
-			panic("core: tenant placement node id out of sync with the fabric")
-		}
-	}
 	if s.Health != nil {
 		s.Health.Watch(id)
 	}
@@ -843,17 +784,7 @@ func (s *System) Start() {
 		panic("core: Start called twice")
 	}
 	s.started = true
-	// With tenants admitted, the shared pagemgr service already exists and
-	// holds only the tenant managers — the host manager has no frames of its
-	// own to clean (tenant views carve up the whole arena), so attaching it
-	// would spin the reclaimer. Without tenants the service degenerates to
-	// the classic single-manager daemons.
-	if s.svc == nil {
-		s.svc = pagemgr.NewService()
-		s.svc.Attach(s.Mgr)
-	}
-	s.svc.Shards = s.shards
-	s.svc.Start(s.Eng)
+	s.Mgr.Start(s.Eng)
 	for c := 0; c < s.Hub.Cores(); c++ {
 		c := c
 		s.Eng.GoDaemon(fmt.Sprintf("dilos.pfmap%d", c), func(p *sim.Proc) { s.pfMapLoop(p, c) })
@@ -866,9 +797,6 @@ func (s *System) Start() {
 	}
 	if s.Mig != nil {
 		s.Mig.Start()
-	}
-	if s.tenancy != nil && !s.tenancy.NoIsolation && s.tenancy.RebalanceEvery > 0 && len(s.tenants) > 0 {
-		s.Eng.GoDaemon("dilos.rebalance", s.rebalanceLoop)
 	}
 	// The sampler daemon spawns last so the relative scheduling order of
 	// every pre-existing daemon is unchanged by enabling it.
@@ -907,15 +835,8 @@ func (s *System) SampleGauges(now sim.Time) {
 	if s.Mig != nil {
 		s.Mig.SampleGauges()
 	}
-	// Links are host-owned; tenant systems alias them and must not sample
-	// twice per tick.
-	if s.host == nil {
-		for _, l := range s.Links {
-			l.SampleBacklog(now)
-		}
-	}
-	for _, t := range s.tenants {
-		t.Sys.SampleGauges(now)
+	for _, l := range s.Links {
+		l.SampleBacklog(now)
 	}
 }
 

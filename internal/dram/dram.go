@@ -42,8 +42,8 @@ func (f *Frame) Shard() int { return int(f.shard) }
 
 // lruList is one intrusive LRU list over a pool's frames: front = coldest
 // (next clock victim), back = most recently inserted/rotated. The pool owns
-// one for its legacy single-owner API; each tenant View owns its own — a
-// frame's link fields live in Frame, and a frame is on at most one list.
+// one per shard — a frame's link fields live in Frame, and a frame is on
+// at most one list.
 type lruList struct {
 	head, tail FrameID
 	n          int
@@ -94,12 +94,6 @@ func (p *Pool) SetShards(n int) {
 		p.lists[i] = lruList{head: NoFrame, tail: NoFrame}
 	}
 }
-
-// Shards returns the number of LRU shards.
-func (p *Pool) Shards() int { return len(p.lists) }
-
-// Capacity returns the total number of frames.
-func (p *Pool) Capacity() int { return len(p.frames) }
 
 // FreeCount returns the number of unallocated frames.
 func (p *Pool) FreeCount() int { return len(p.free) }
@@ -197,9 +191,6 @@ func (p *Pool) LRUFront() FrameID { return p.lists[0].head }
 // LRUFrontOf returns the coldest frame of one shard, or NoFrame.
 func (p *Pool) LRUFrontOf(shard int) FrameID { return p.lists[shard].head }
 
-// LRUNext returns the frame after id on its shard's list, or NoFrame.
-func (p *Pool) LRUNext(id FrameID) FrameID { return p.frame(id).next }
-
 // LRURotate moves a frame to the hot end of its home shard — the clock
 // algorithm's "second chance" for pages whose accessed bit was set.
 func (p *Pool) LRURotate(id FrameID) {
@@ -209,26 +200,9 @@ func (p *Pool) LRURotate(id FrameID) {
 	p.listPushBack(l, id)
 }
 
-// Walk calls fn for each LRU frame from cold to hot, shard 0 first;
+// WalkShard calls fn for each frame of one shard's list from cold to hot;
 // returning false stops. fn must not mutate the list; use the returned ids
 // afterwards.
-func (p *Pool) Walk(fn func(id FrameID, f *Frame) bool) {
-	for i := range p.lists {
-		stopped := false
-		p.listWalk(&p.lists[i], func(id FrameID, f *Frame) bool {
-			if !fn(id, f) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if stopped {
-			return
-		}
-	}
-}
-
-// WalkShard calls fn for each frame of one shard's list from cold to hot.
 func (p *Pool) WalkShard(shard int, fn func(id FrameID, f *Frame) bool) {
 	p.listWalk(&p.lists[shard], fn)
 }

@@ -8,8 +8,8 @@ import (
 
 func TestAllocFreeConservation(t *testing.T) {
 	p := NewPool(8)
-	if p.Capacity() != 8 || p.FreeCount() != 8 {
-		t.Fatalf("capacity=%d free=%d", p.Capacity(), p.FreeCount())
+	if p.FreeCount() != 8 || p.Used() != 0 {
+		t.Fatalf("free=%d used=%d", p.FreeCount(), p.Used())
 	}
 	var ids []FrameID
 	for {
@@ -91,7 +91,7 @@ func TestLRUOrder(t *testing.T) {
 		t.Fatal("rotate did not advance the clock hand")
 	}
 	var order []FrameID
-	p.Walk(func(id FrameID, f *Frame) bool {
+	p.WalkShard(0, func(id FrameID, f *Frame) bool {
 		order = append(order, id)
 		return true
 	})
@@ -116,7 +116,7 @@ func TestLRURemoveMiddle(t *testing.T) {
 		t.Fatalf("len = %d", p.LRULen())
 	}
 	var order []FrameID
-	p.Walk(func(id FrameID, f *Frame) bool { order = append(order, id); return true })
+	p.WalkShard(0, func(id FrameID, f *Frame) bool { order = append(order, id); return true })
 	if len(order) != 2 || order[0] != ids[0] || order[1] != ids[2] {
 		t.Fatalf("order = %v", order)
 	}
@@ -129,7 +129,7 @@ func TestWalkEarlyStop(t *testing.T) {
 		p.LRUPushBack(id)
 	}
 	n := 0
-	p.Walk(func(id FrameID, f *Frame) bool { n++; return n < 2 })
+	p.WalkShard(0, func(id FrameID, f *Frame) bool { n++; return n < 2 })
 	if n != 2 {
 		t.Fatalf("visited %d", n)
 	}
@@ -190,7 +190,7 @@ func TestQuickPoolInvariants(t *testing.T) {
 		}
 		// Walk must visit exactly LRULen frames.
 		n := 0
-		p.Walk(func(FrameID, *Frame) bool { n++; return true })
+		p.WalkShard(0, func(FrameID, *Frame) bool { n++; return true })
 		return n == p.LRULen()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

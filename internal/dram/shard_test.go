@@ -10,8 +10,8 @@ import (
 // collectShards walks every shard list and returns, per shard, the frame
 // ids from cold to hot.
 func collectShards(p *Pool) [][]FrameID {
-	out := make([][]FrameID, p.Shards())
-	for s := 0; s < p.Shards(); s++ {
+	out := make([][]FrameID, len(p.lists))
+	for s := range out {
 		p.WalkShard(s, func(id FrameID, f *Frame) bool {
 			out[s] = append(out[s], id)
 			return true
@@ -55,8 +55,8 @@ func TestShardDisjointness(t *testing.T) {
 	const shards, nframes = 4, 64
 	p := NewPool(nframes)
 	p.SetShards(shards)
-	if p.Shards() != shards {
-		t.Fatalf("Shards() = %d", p.Shards())
+	if len(p.lists) != shards {
+		t.Fatalf("SetShards(%d) built %d lists", shards, len(p.lists))
 	}
 	var ids []FrameID
 	for i := 0; i < nframes; i++ {

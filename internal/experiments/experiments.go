@@ -69,9 +69,6 @@ type Options struct {
 	// MigrateWatermark, when positive, arms continuous auto-rebalancing on
 	// ext7's migration engine.
 	MigrateWatermark float64
-	// TenantAggressorRate caps ext8's aggressor fabric bandwidth in the
-	// isolated leg (bytes/s of token-bucket rate).
-	TenantAggressorRate int64
 	// KVLayers, KVSeqs and KVDecode shape ext12's KV cache: transformer
 	// depth (regions per sequence), concurrently live sequences, and decode
 	// rounds (tokens per sequence).
@@ -85,11 +82,9 @@ func DefaultOptions() Options {
 		ScalingCores:     []int{1, 2, 4, 8},
 		ChaosSeed:        42,
 		MigrateDrainNode: 2,
-		// ≈8% of the 12.2 GB/s link leaves demand fetches a quiet wire.
-		TenantAggressorRate: 1024 << 20,
-		KVLayers:            8,
-		KVSeqs:              16,
-		KVDecode:            32,
+		KVLayers:         8,
+		KVSeqs:           16,
+		KVDecode:         32,
 	}
 }
 

@@ -43,7 +43,6 @@ func init() {
 	Register("ext5", "extension: doorbell-batched vs per-op submission", false, ExtBatch, printExt5)
 	Register("ext6", "extension: per-fault latency anatomy from the flight recorder", false, ExtAnatomy, printExt6)
 	Register("ext7", "extension: elastic pool — live drain + migration under load", false, ExtElastic, printExt7)
-	Register("ext8", "extension: multi-tenant pool — noisy neighbour vs QoS quotas", false, ExtTenant, printExt8)
 	Register("ext10", "extension: per-core fault-path scaling — sharded vs shared manager", true, ExtScaling, printExt10)
 	Register("ext11", "extension: always-on observability plane — overhead + burn-rate detection", false, ExtObs, printExt11)
 }
@@ -412,31 +411,6 @@ func printExt7(r ElasticResult) {
 	fmt.Printf("  chaos leg corruptions: %d (must be 0)\n", r.ChaosCorruptions)
 	fmt.Println("  throughput over time (1ms buckets):")
 	fmt.Printf("    %s\n", floatSparkline(r.Series))
-}
-
-func printExt8(r TenantResult) {
-	fmt.Println("Extension — multi-tenant pool: noisy neighbour vs QoS quotas (ext8)")
-	fmt.Printf("  [victim hot set fits its quota; aggressor streams 8x its quota;\n")
-	fmt.Printf("   isolated leg caps the aggressor at %d MB/s of fabric]\n",
-		r.AggrRate>>20)
-	fmt.Printf("  victim %d hot + %d cold pages on %d frames; aggressor %d pages on %d frames (+%d slack)\n",
-		r.VictimHotPages, r.VictimColdPages, r.VictimFrames,
-		r.AggressorPages, r.AggressorFrames, r.SlackFrames)
-	fmt.Printf("  %-12s %12s %12s %8s %8s\n", "leg", "victim p50", "victim p99", "faults", "ratio")
-	fmt.Printf("  %-12s %12s %12s %8d %8s\n", "solo", us(r.SoloP50), us(r.SoloP99), r.SoloFaults, "1.00")
-	fmt.Printf("  %-12s %12s %12s %8d %8.2f\n", "isolated", us(r.IsoP50), us(r.IsoP99), r.IsoFaults, r.IsoRatio)
-	fmt.Printf("  %-12s %12s %12s %8d %8.2f\n", "control", us(r.CtrlP50), us(r.CtrlP99), r.CtrlFaults, r.CtrlRatio)
-	verdict := func(ok bool) string {
-		if ok {
-			return "pass"
-		}
-		return "FAIL"
-	}
-	fmt.Printf("  gate: isolated <= %.1fx solo: %s; unpartitioned control > gate: %s\n",
-		r.Gate, verdict(r.IsoPass), verdict(r.CtrlExceeds))
-	fmt.Printf("  aggressor majors: %d capped vs %d uncapped; victim floor %d, reserved %d at end\n",
-		r.AggrFaultsIso, r.AggrFaultsCtrl, r.VictimFloor, r.VictimReservedEnd)
-	fmt.Printf("  repeat isolated leg byte-identical: %v\n", r.Deterministic)
 }
 
 func printExt10(r ScalingResult) {

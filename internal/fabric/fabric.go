@@ -180,15 +180,6 @@ func (l *Link) SampleBacklog(now sim.Time) {
 // Store returns the remote-memory service this link reaches.
 func (l *Link) Store() Store { return l.store }
 
-// Limiter rate-limits a QP's submissions: Gate charges `bytes` of work at
-// `now` and returns the earliest virtual instant the op may start on the
-// link. Multi-tenant systems hang one token bucket per tenant across all of
-// that tenant's QPs to enforce fabric-bandwidth shares; a nil limiter is
-// the pre-tenant behaviour (ops start at max(now, link busy)).
-type Limiter interface {
-	Gate(now sim.Time, bytes int) sim.Time
-}
-
 // QP is a queue pair. DiLOS assigns one per (core, module) so that a page
 // fault's fetch is never queued behind prefetcher or cleaner traffic on the
 // same software queue (§4.5). FIFO completion order is enforced per QP.
@@ -198,10 +189,6 @@ type QP struct {
 	key  uint32
 	last sim.Time // completion horizon for FIFO ordering
 	Ops  stats.Counter
-
-	// Lim, when set, meters every op issued on this QP (including each
-	// entry of a Submit batch) against a tenant's fabric-bandwidth share.
-	Lim Limiter
 }
 
 // NewQP creates a queue pair bound to the link's memory node. The protection
@@ -342,15 +329,7 @@ func (q *QP) issue(now sim.Time, kind OpKind, segs []Seg, overhead sim.Time, bat
 	if kind == OpWrite {
 		busy = &q.link.txBusy
 	}
-	earliest := now
-	if q.Lim != nil && !dec.Fail {
-		// Failed ops move no bytes, so they are not charged to the
-		// tenant's bandwidth share.
-		if g := q.Lim.Gate(now, bytes); g > earliest {
-			earliest = g
-		}
-	}
-	op := q.schedule(now, earliest, bytes, len(segs), overhead, batched, busy, dec, storeErr)
+	op := q.schedule(now, bytes, len(segs), overhead, batched, busy, dec, storeErr)
 	op.Kind = kind
 	if q.link.Tel != nil {
 		spanKind := telemetry.KindRead
@@ -419,13 +398,13 @@ func (q *QP) decide(now sim.Time, write bool, bytes, segs int, overhead sim.Time
 }
 
 // schedule computes the op's completion time: it occupies the direction's
-// link from max(earliest, busy horizon) for OpOverhead + transfer time
+// link from max(now, busy horizon) for OpOverhead + transfer time
 // (+ vector segment overheads), then completes after the base latency
-// (+ the TCP emulation delay, if configured). earliest ≥ now carries any
-// tenant-limiter delay. An injected stall pushes the QP's FIFO horizon
-// first; a failed op skips the link occupancy (nothing was transferred)
-// and completes with its error after the detection latency.
-func (q *QP) schedule(now, earliest sim.Time, bytes, segs int, overhead sim.Time, batched bool, busy *sim.Time, dec chaos.Decision, storeErr error) *Op {
+// (+ the TCP emulation delay, if configured). An injected stall pushes the
+// QP's FIFO horizon first; a failed op skips the link occupancy (nothing
+// was transferred) and completes with its error after the detection
+// latency.
+func (q *QP) schedule(now sim.Time, bytes, segs int, overhead sim.Time, batched bool, busy *sim.Time, dec chaos.Decision, storeErr error) *Op {
 	if segs < 1 {
 		panic("fabric: empty vector")
 	}
@@ -449,21 +428,12 @@ func (q *QP) schedule(now, earliest sim.Time, bytes, segs int, overhead sim.Time
 		q.Ops.Inc()
 		return &Op{IssuedAt: now, CompleteAt: complete, Bytes: bytes, Segs: segs, Err: dec.Err}
 	}
-	start := earliest
+	start := now
 	if *busy > start {
 		start = *busy
 	}
 	occ, lat := q.latSpec(bytes, segs, overhead, batched)
-	// A tenant-limiter gap (earliest > now) is pacing, not wire time: the
-	// busy horizon advances by the op's occupancy from its issue-order
-	// position, never by the idle gap, so other tenants' ops queue only
-	// behind bytes actually on the wire — not behind a throttled
-	// neighbour's deferred schedule.
-	occupyFrom := now
-	if *busy > occupyFrom {
-		occupyFrom = *busy
-	}
-	*busy = occupyFrom + occ
+	*busy = start + occ
 	complete := start + lat + q.link.P.BaseLatency + q.link.P.TCPExtra + dec.Extra
 	if complete < q.last {
 		complete = q.last // FIFO per QP

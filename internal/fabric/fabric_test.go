@@ -476,41 +476,3 @@ func BenchmarkCoalesce(b *testing.B) {
 	}
 	_ = reqs
 }
-
-// gateAt is a fixed-schedule Limiter for tests.
-type gateAt struct{ at sim.Time }
-
-func (g gateAt) Gate(now sim.Time, bytes int) sim.Time {
-	if g.at > now {
-		return g.at
-	}
-	return now
-}
-
-func TestLimiterPacingDoesNotReserveWire(t *testing.T) {
-	link, node := testLink(t)
-	off, _ := node.AllocPage()
-	buf := make([]byte, memnode.PageSize)
-
-	// A throttled QP issues an op at t=0 that its limiter defers far into
-	// the future. The op itself must honour the gate...
-	slow := link.MustQP("slow", node.ProtKey)
-	slow.Lim = gateAt{at: 500 * sim.Microsecond}
-	deferred := slow.Read(0, off, buf)
-	if deferred.CompleteAt < 500*sim.Microsecond {
-		t.Fatalf("gated op completed at %v, before its pacing slot", deferred.CompleteAt)
-	}
-
-	// ...but the idle gap is not wire time: an unthrottled tenant's op
-	// issued a moment later sees only the deferred op's real occupancy,
-	// not a horizon parked at the pacing slot.
-	fast := link.MustQP("fast", node.ProtKey)
-	op := fast.Read(sim.Microsecond, off, buf)
-	occ := link.P.OpOverhead + sim.Time(int64(len(buf))*link.P.PicosPerByteBW/1000)
-	oneShot := link.P.BaseLatency + link.P.OpOverhead +
-		sim.Time(int64(len(buf))*link.P.PicosPerByte/1000)
-	worst := sim.Microsecond + occ + oneShot
-	if op.CompleteAt > worst {
-		t.Fatalf("op behind a paced neighbour completed at %v, want <= %v", op.CompleteAt, worst)
-	}
-}

@@ -123,11 +123,8 @@ type Config struct {
 	Tuning Tuning
 }
 
-// job is one pending replica move. ref indexes the engine's attached
-// address spaces: every page belongs to exactly one space (the host's, or
-// one tenant's), and all its placement operations go through that space.
+// job is one pending replica move.
 type job struct {
-	ref  int
 	vpn  pagetable.VPN
 	k    int
 	src  placement.Slot
@@ -138,20 +135,12 @@ type job struct {
 	dead bool
 }
 
-// spaceRef is one address space the engine migrates pages for, with its
-// owner's resident-frame probe.
-type spaceRef struct {
-	sp    *placement.AddressSpace
-	local func(v pagetable.VPN, buf []byte) bool
-}
-
 // Engine is the migration daemon. All its methods run on the simulation
 // thread; Drain and RequestRebalance only enqueue work — the daemon
 // performs it.
 type Engine struct {
 	eng   *sim.Engine
-	space *placement.AddressSpace // primary space: drives the node state machine
-	refs  []spaceRef              // all spaces (primary first, tenants after)
+	space *placement.AddressSpace
 	cfg   Config
 	t     Tuning
 
@@ -213,7 +202,6 @@ func New(eng *sim.Engine, cfg Config) *Engine {
 		MoveLat:      stats.NewHistogram("migrate.batch_latency"),
 		InFlightG:    stats.Gauge{Name: "migrate.inflight"},
 	}
-	e.refs = []spaceRef{{sp: cfg.Space, local: cfg.LocalContent}}
 	e.bufs = make([][]byte, t.BatchPages)
 	for i := range e.bufs {
 		e.bufs[i] = make([]byte, PageSize)
@@ -221,28 +209,6 @@ func New(eng *sim.Engine, cfg Config) *Engine {
 	e.ensureNodes()
 	cfg.Space.OnStateChange(e.onState)
 	return e
-}
-
-// AttachSpace adds a tenant's address space to the engine: drains and
-// rebalances then also move that space's pages, keeping its placement in
-// step with the shared pool's membership. The space must span the same
-// memory nodes as the primary space, and its resident-frame probe (may be
-// nil) must not yield. The host mirrors node states into tenant spaces, so
-// the engine only drives the primary space's state machine.
-func (e *Engine) AttachSpace(sp *placement.AddressSpace, local func(v pagetable.VPN, buf []byte) bool) {
-	if sp.Nodes() != e.space.Nodes() {
-		panic(fmt.Sprintf("migrate: attached space spans %d nodes, engine has %d", sp.Nodes(), e.space.Nodes()))
-	}
-	e.refs = append(e.refs, spaceRef{sp: sp, local: local})
-}
-
-// occupancy sums node n's replica slots across every attached space.
-func (e *Engine) occupancy(n int) int64 {
-	var o int64
-	for _, r := range e.refs {
-		o += r.sp.Occupancy(n)
-	}
-	return o
 }
 
 // RegisterStats folds the engine's metrics into a registry, including a
@@ -287,9 +253,6 @@ func (e *Engine) Drain(node int) error {
 		if err := e.space.SetState(node, placement.Draining); err != nil {
 			return err
 		}
-		for _, r := range e.refs[1:] {
-			_ = r.sp.SetState(node, placement.Draining)
-		}
 	case placement.Draining, placement.Failed, placement.Syncing:
 		// Draining: re-queue is a no-op below. Failed/Syncing: evacuate
 		// from surviving replicas; the state flips to Removed at the end.
@@ -310,26 +273,14 @@ func (e *Engine) RequestRebalance() { e.rebalance = true }
 
 // Idle reports that the engine has no queued or in-flight work.
 func (e *Engine) Idle() bool {
-	if len(e.draining) != 0 || e.rebalance {
-		return false
-	}
-	for _, r := range e.refs {
-		if r.sp.MigrationsInFlight() != 0 {
-			return false
-		}
-	}
-	return true
+	return len(e.draining) == 0 && !e.rebalance && e.space.MigrationsInFlight() == 0
 }
 
 // SampleGauges refreshes the sampler-visible gauges from live state.
 func (e *Engine) SampleGauges() {
-	inflight := 0
-	for _, r := range e.refs {
-		inflight += r.sp.MigrationsInFlight()
-	}
-	e.InFlightG.Set(int64(inflight))
+	e.InFlightG.Set(int64(e.space.MigrationsInFlight()))
 	for i := range e.occG {
-		e.occG[i].Set(e.occupancy(i))
+		e.occG[i].Set(e.space.Occupancy(i))
 	}
 }
 
@@ -376,9 +327,6 @@ func (e *Engine) step(p *sim.Proc) bool {
 	for node, want := range e.wantDrained {
 		if want && e.space.State(node) == placement.Live {
 			_ = e.space.SetState(node, placement.Draining)
-			for _, r := range e.refs[1:] {
-				_ = r.sp.SetState(node, placement.Draining)
-			}
 		}
 	}
 	keep := e.draining[:0]
@@ -395,20 +343,12 @@ func (e *Engine) step(p *sim.Proc) bool {
 			e.runBatch(p, jobs)
 			return true
 		}
-		if e.occupancy(node) == 0 {
+		if e.space.Occupancy(node) == 0 {
 			// Draining→Removed, or Failed→Removed for a node that died
 			// mid-drain and was evacuated from its replicas. A node caught
 			// mid-recovery (Syncing) cannot be removed yet — keep the drain
 			// queued; step re-asserts Draining once it lands back on Live.
 			if err := e.space.SetState(node, placement.Removed); err == nil {
-				for _, r := range e.refs[1:] {
-					if err := r.sp.SetState(node, placement.Removed); err != nil {
-						// The occupancy sum above covered every space, so a
-						// tenant refusing removal means its state diverged
-						// from the primary's — a wiring bug, not a race.
-						panic(fmt.Sprintf("migrate: tenant space stuck on node %d: %v", node, err))
-					}
-				}
 				e.DrainsDone.Inc()
 				e.wantDrained[node] = false
 				e.draining = e.draining[1:]
@@ -450,7 +390,7 @@ func (e *Engine) chooseDest(slots []placement.Slot) int {
 		if hosts {
 			continue
 		}
-		load := e.occupancy(n) + e.pend[n]
+		load := e.space.Occupancy(n) + e.pend[n]
 		if best == -1 || load < bestLoad {
 			best, bestLoad = n, load
 		}
@@ -459,42 +399,36 @@ func (e *Engine) chooseDest(slots []placement.Slot) int {
 }
 
 // collectDrain gathers up to max replica slots hosted on node, each with
-// an eligible destination, sweeping every attached space in attach order.
+// an eligible destination.
 func (e *Engine) collectDrain(node, max int) []job {
 	e.ensureNodes()
 	for i := range e.pend {
 		e.pend[i] = 0
 	}
 	jobs := e.jobs[:0]
-	for ri := range e.refs {
-		sp := e.refs[ri].sp
-		for _, reg := range sp.Regions() {
-			for i := uint64(0); i < reg.Pages && len(jobs) < max; i++ {
-				v := reg.BaseVPN + pagetable.VPN(i)
-				slots, ok := sp.AllSlots(v)
-				if !ok {
-					continue
-				}
-				k := -1
-				for ki, s := range slots {
-					if s.Node == node {
-						k = ki
-						break
-					}
-				}
-				if k < 0 {
-					continue
-				}
-				dst := e.chooseDest(slots)
-				if dst < 0 {
-					continue
-				}
-				e.pend[dst]++
-				jobs = append(jobs, job{ref: ri, vpn: v, k: k, dst: placement.Slot{Node: dst}})
+	for _, reg := range e.space.Regions() {
+		for i := uint64(0); i < reg.Pages && len(jobs) < max; i++ {
+			v := reg.BaseVPN + pagetable.VPN(i)
+			slots, ok := e.space.AllSlots(v)
+			if !ok {
+				continue
 			}
-			if len(jobs) >= max {
-				break
+			k := -1
+			for ki, s := range slots {
+				if s.Node == node {
+					k = ki
+					break
+				}
 			}
+			if k < 0 {
+				continue
+			}
+			dst := e.chooseDest(slots)
+			if dst < 0 {
+				continue
+			}
+			e.pend[dst]++
+			jobs = append(jobs, job{vpn: v, k: k, dst: placement.Slot{Node: dst}})
 		}
 		if len(jobs) >= max {
 			break
@@ -517,7 +451,7 @@ func (e *Engine) collectRebalance(max int) []job {
 		if e.space.State(n) != placement.Live {
 			continue
 		}
-		o := e.occupancy(n)
+		o := e.space.Occupancy(n)
 		total += o
 		liveN++
 		if src < 0 || o > srcO {
@@ -540,32 +474,26 @@ func (e *Engine) collectRebalance(max int) []job {
 		budget = max
 	}
 	jobs := e.jobs[:0]
-	for ri := range e.refs {
-		sp := e.refs[ri].sp
-		for _, reg := range sp.Regions() {
-			for i := uint64(0); i < reg.Pages && len(jobs) < budget; i++ {
-				v := reg.BaseVPN + pagetable.VPN(i)
-				slots, ok := sp.AllSlots(v)
-				if !ok {
-					continue
-				}
-				k, onDst := -1, false
-				for ki, s := range slots {
-					if s.Node == src {
-						k = ki
-					}
-					if s.Node == dst {
-						onDst = true
-					}
-				}
-				if k < 0 || onDst {
-					continue
-				}
-				jobs = append(jobs, job{ref: ri, vpn: v, k: k, dst: placement.Slot{Node: dst}})
+	for _, reg := range e.space.Regions() {
+		for i := uint64(0); i < reg.Pages && len(jobs) < budget; i++ {
+			v := reg.BaseVPN + pagetable.VPN(i)
+			slots, ok := e.space.AllSlots(v)
+			if !ok {
+				continue
 			}
-			if len(jobs) >= budget {
-				break
+			k, onDst := -1, false
+			for ki, s := range slots {
+				if s.Node == src {
+					k = ki
+				}
+				if s.Node == dst {
+					onDst = true
+				}
 			}
+			if k < 0 || onDst {
+				continue
+			}
+			jobs = append(jobs, job{vpn: v, k: k, dst: placement.Slot{Node: dst}})
 		}
 		if len(jobs) >= budget {
 			break
@@ -614,7 +542,7 @@ func (e *Engine) runBatch(p *sim.Proc, jobs []job) int {
 			continue
 		}
 		j.dst.Off = off
-		if err := e.refs[j.ref].sp.BeginMigrate(j.vpn, j.k, j.dst); err != nil {
+		if err := e.space.BeginMigrate(j.vpn, j.k, j.dst); err != nil {
 			e.pushFree(j.dst)
 			j.dead = true
 			e.MoveFails.Inc()
@@ -634,11 +562,10 @@ func (e *Engine) runBatch(p *sim.Proc, jobs []job) int {
 			if j.done || j.dead {
 				continue
 			}
-			sp := e.refs[j.ref].sp
-			sp.ResetMigrationWrote(j.vpn)
+			e.space.ResetMigrationWrote(j.vpn)
 			j.op = nil
 			j.src.Node = -1
-			if slots, _, ok := sp.Resolve(j.vpn); ok && len(slots) > 0 {
+			if slots, _, ok := e.space.Resolve(j.vpn); ok && len(slots) > 0 {
 				j.src = slots[0]
 			}
 		}
@@ -683,12 +610,12 @@ func (e *Engine) runBatch(p *sim.Proc, jobs []job) int {
 				if j.done || j.dead || j.dst.Node != n {
 					continue
 				}
-				if local := e.refs[j.ref].local; local != nil && local(j.vpn, j.buf) {
+				if local := e.cfg.LocalContent; local != nil && local(j.vpn, j.buf) {
 					// Resident frame is authoritative — fresher than any
 					// remote copy, racing write-backs included.
 				} else if j.src.Node < 0 || j.op == nil || j.op.Err != nil {
 					continue // no readable source this round; retry
-				} else if e.refs[j.ref].sp.MigrationWrote(j.vpn) {
+				} else if e.space.MigrationWrote(j.vpn) {
 					e.CopyRestarts.Inc()
 					continue // a write-back raced the copy; re-read
 				}
@@ -710,7 +637,7 @@ func (e *Engine) runBatch(p *sim.Proc, jobs []job) int {
 						e.MoveFails.Inc()
 						continue // destination unreachable; retry round
 					}
-					old, err := e.refs[j.ref].sp.CompleteMigrate(j.vpn)
+					old, err := e.space.CompleteMigrate(j.vpn)
 					if err != nil {
 						j.dead = true
 						alive--
@@ -735,7 +662,7 @@ func (e *Engine) runBatch(p *sim.Proc, jobs []job) int {
 		if j.done || j.dead {
 			continue
 		}
-		if dst, ok := e.refs[j.ref].sp.AbortMigrate(j.vpn); ok {
+		if dst, ok := e.space.AbortMigrate(j.vpn); ok {
 			e.pushFree(dst)
 		}
 		e.Stranded.Inc()

@@ -62,7 +62,7 @@ type tlbEntry struct {
 type Core struct {
 	Proc    *sim.Proc
 	Table   *pagetable.Table
-	Pool    dram.Frames
+	Pool    *dram.Pool
 	Handler FaultHandler
 	Costs   Costs
 
@@ -74,7 +74,7 @@ type Core struct {
 }
 
 // NewCore builds a core over a page table and frame pool.
-func NewCore(p *sim.Proc, tbl *pagetable.Table, pool dram.Frames, h FaultHandler) *Core {
+func NewCore(p *sim.Proc, tbl *pagetable.Table, pool *dram.Pool, h FaultHandler) *Core {
 	return &Core{
 		Proc: p, Table: tbl, Pool: pool, Handler: h,
 		Costs:     DefaultCosts(),

@@ -82,21 +82,14 @@ func escapeLabel(v string) string {
 
 // splitName lifts structured name segments into labels:
 //
-//	tenant.<t>.<rest>    -> <rest>      {tenant="<t>"}
 //	link.node<K>.<rest>  -> link_<rest> {node="K"}
 //	memnode.node<K>.<..> -> memnode_<..>{node="K"}
 //	<..>.shard<K>.<rest> -> <..>_<rest> {shard="K"}
 //
-// so per-tenant, per-node, and per-shard registry families aggregate the
+// so per-node and per-shard registry families aggregate the
 // way a Prometheus user expects, while the rest of the name maps 1:1.
 func splitName(name string) (family, labels string) {
 	var parts []string
-	if rest, ok := strings.CutPrefix(name, "tenant."); ok {
-		if i := strings.IndexByte(rest, '.'); i > 0 {
-			parts = append(parts, `tenant="`+escapeLabel(rest[:i])+`"`)
-			name = rest[i+1:]
-		}
-	}
 	for _, pfx := range []string{"link.node", "memnode.node"} {
 		if rest, ok := strings.CutPrefix(name, pfx); ok {
 			if i := strings.IndexByte(rest, '.'); i > 0 {

@@ -17,12 +17,11 @@ func TestSplitName(t *testing.T) {
 		in, family, labels string
 	}{
 		{"dilos.major_faults", "dilos_major_faults", ""},
-		{"tenant.a.pagemgr.cleaned", "pagemgr_cleaned", `tenant="a"`},
 		{"link.node3.rx.bytes", "link_rx_bytes", `node="3"`},
 		{"memnode.node0.reads", "memnode_reads", `node="0"`},
 		{"pool.shard1.evictions", "pool_evictions", `shard="1"`},
 		{"pool.shard7", "pool", `shard="7"`},
-		{"tenant.b.link.node2.rx.ops", "link_rx_ops", `node="2",tenant="b"`},
+		{"link.node2.rx.shard1.ops", "link_rx_ops", `node="2",shard="1"`},
 		{"slo.firing", "slo_firing", ""},
 	}
 	for _, c := range cases {
@@ -38,8 +37,8 @@ func TestSplitName(t *testing.T) {
 func buildSnapshot() stats.Snapshot {
 	r := stats.NewRegistry()
 	c1 := &stats.Counter{Name: "dilos.major_faults"}
-	c2 := &stats.Counter{Name: "tenant.a.pagemgr.cleaned"}
-	c3 := &stats.Counter{Name: "tenant.b.pagemgr.cleaned"}
+	c2 := &stats.Counter{Name: "pagemgr.shard0.cleaned"}
+	c3 := &stats.Counter{Name: "pagemgr.shard1.cleaned"}
 	c4 := &stats.Counter{Name: "link.node0.rx.ops"}
 	g := &stats.Gauge{Name: "pagemgr.free_frames"}
 	h := stats.NewHistogram("dilos.fault_latency")
@@ -73,8 +72,8 @@ func TestAppendMetricsDeterministic(t *testing.T) {
 		"# TYPE dilos_major_faults_total counter\n",
 		"dilos_major_faults_total 3\n",
 		"# TYPE pagemgr_cleaned_total counter\n",
-		"pagemgr_cleaned_total{tenant=\"a\"} 7\n",
-		"pagemgr_cleaned_total{tenant=\"b\"} 9\n",
+		"pagemgr_cleaned_total{shard=\"0\"} 7\n",
+		"pagemgr_cleaned_total{shard=\"1\"} 9\n",
 		"link_rx_ops_total{node=\"0\"} 41\n",
 		"# TYPE pagemgr_free_frames gauge\n",
 		"pagemgr_free_frames 128\n",
@@ -90,9 +89,9 @@ func TestAppendMetricsDeterministic(t *testing.T) {
 	if n := strings.Count(page, "# TYPE pagemgr_cleaned_total"); n != 1 {
 		t.Errorf("pagemgr_cleaned_total has %d TYPE lines, want 1", n)
 	}
-	// The tenant label sets render in sorted order.
-	if strings.Index(page, `tenant="a"`) > strings.Index(page, `tenant="b"`) {
-		t.Error("tenant label sets not sorted")
+	// The shard label sets render in sorted order.
+	if strings.Index(page, `shard="0"`) > strings.Index(page, `shard="1"`) {
+		t.Error("shard label sets not sorted")
 	}
 }
 
@@ -118,11 +117,11 @@ func TestAppendMetricsTelemetry(t *testing.T) {
 func TestJournalJSONL(t *testing.T) {
 	j := NewJournal(0)
 	j.Emit(1500, "breaker_trip", I("node", 2), I("consecutive_fails", 3))
-	j.Emit(2500, "slo_alert", S("objective", "tenant.a"), S("edge", "raise"))
+	j.Emit(2500, "slo_alert", S("objective", "pool"), S("edge", "raise"))
 	j.Emit(3000, "note", S("msg", "line\nbreak \"quoted\""))
 	got := string(j.AppendJSONL(nil))
 	want := `{"at_ns":1500,"type":"breaker_trip","node":2,"consecutive_fails":3}
-{"at_ns":2500,"type":"slo_alert","objective":"tenant.a","edge":"raise"}
+{"at_ns":2500,"type":"slo_alert","objective":"pool","edge":"raise"}
 {"at_ns":3000,"type":"note","msg":"line\nbreak \"quoted\""}
 `
 	if got != want {
@@ -131,7 +130,7 @@ func TestJournalJSONL(t *testing.T) {
 	// Same emissions → identical bytes.
 	j2 := NewJournal(0)
 	j2.Emit(1500, "breaker_trip", I("node", 2), I("consecutive_fails", 3))
-	j2.Emit(2500, "slo_alert", S("objective", "tenant.a"), S("edge", "raise"))
+	j2.Emit(2500, "slo_alert", S("objective", "pool"), S("edge", "raise"))
 	j2.Emit(3000, "note", S("msg", "line\nbreak \"quoted\""))
 	if !bytes.Equal(j.AppendJSONL(nil), j2.AppendJSONL(nil)) {
 		t.Fatal("same-emission journals rendered differently")

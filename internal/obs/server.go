@@ -14,7 +14,7 @@ import (
 // scrape never touches live simulator state and never races it.
 //
 // Endpoints: /metrics (Prometheus text exposition), /healthz (200 ok /
-// 503 detail), /statusz (membership, shards, tenants, breakers, SLOs),
+// 503 detail), /statusz (membership, shards, breakers, SLOs),
 // /journalz (the control-plane event journal as JSON lines).
 type Server struct {
 	mu      sync.RWMutex
@@ -118,8 +118,8 @@ func (s *Server) Close() error {
 // may be nil: a System with a Plane evaluates what it has and skips the
 // rest, and a nil Plane is the plane-off configuration.
 type Plane struct {
-	// Monitor receives per-system fault-latency observations; the System
-	// registers one objective per tenant (plus the pool itself).
+	// Monitor receives the system's fault-latency observations; the
+	// System registers one objective for its pool.
 	Monitor *Monitor
 	// Journal receives control-plane events (membership transitions,
 	// breaker trips, rebalances, steals, SLO alert edges).

@@ -96,25 +96,16 @@ type Target struct {
 	Replicas  []Target
 }
 
-// Manager is the page manager instance of one owner — the whole computing
-// node in single-owner mode, or one tenant's partition (a dram.View) in
-// multi-tenant mode. Each manager keeps its own clock/dirty state; the
-// cleaner and reclaimer daemons live in a Service shared across managers.
+// Manager is the computing node's page manager: the frame pool's
+// allocator, its clock/dirty state, and (after Start) the cleaner and
+// reclaimer daemons that sweep them.
 type Manager struct {
-	Pool  dram.Frames
+	Pool  *dram.Pool
 	Table *pagetable.Table
 	Cfg   Config
 
 	// RemoteOf maps a virtual page to its remote slot.
 	RemoteOf func(pagetable.VPN) (Target, bool)
-
-	// Throttled, when set, reports whether this owner's fabric share is
-	// currently backlogged (its token bucket is over budget). The shared
-	// cleaner and reclaimer consult it before doing write-back work on the
-	// owner's behalf and skip to the next manager instead of waiting out
-	// the backlog — a throttled tenant's dirty pages drain at that tenant's
-	// own rate, and its allocators (not its neighbours') absorb the stall.
-	Throttled func(now sim.Time) bool
 
 	// Guide, when non-nil, enables guided paging.
 	Guide EvictionGuide
@@ -134,9 +125,9 @@ type Manager struct {
 	Batch bool
 
 	// Shards is the number of per-core LRU/clock shards this manager
-	// sweeps (0 or 1 = the legacy single-list layout; must match
-	// Pool.Shards()). With n > 1 the service runs one cleaner/reclaimer
-	// pair per shard and each pair touches only its own list and scratch.
+	// sweeps (0 or 1 = the legacy single-list layout; must match the
+	// pool's SetShards). With n > 1 Start runs one cleaner/reclaimer pair
+	// per shard and each pair touches only its own list and scratch.
 	Shards int
 
 	// Wide, when set, is the modeled coarse page-manager lock: daemons
@@ -146,8 +137,8 @@ type Manager struct {
 	// baseline costs; production mode leaves it nil.
 	Wide *sim.Lock
 
-	svc   *Service   // the shared cleaner/reclaimer service, set by Attach
-	freed sim.Waiter // allocators park here when the pool is empty
+	needReclaim sim.Waiter // reclaimers park here while the pool is above high water
+	freed       sim.Waiter // allocators park here when the pool is empty
 
 	// Per-shard, per-daemon scratch arenas for batched write-backs (the
 	// cleaner and the reclaimer can interleave across yields — and shards
@@ -260,8 +251,8 @@ func qpOf(t *Target, reclaimPath bool) *fabric.QP {
 	return t.CleanQP
 }
 
-// New creates a page manager over the pool (or tenant view) and table.
-func New(pool dram.Frames, tbl *pagetable.Table, cfg Config) *Manager {
+// New creates a page manager over the pool and table.
+func New(pool *dram.Pool, tbl *pagetable.Table, cfg Config) *Manager {
 	m := &Manager{
 		Pool:        pool,
 		Table:       tbl,
@@ -303,35 +294,24 @@ func (m *Manager) SampleGauges() {
 	m.FreeG.Set(int64(m.Pool.FreeCount()))
 }
 
-// PrefixStats renames every metric with a prefix (e.g. "tenant.a.") so
-// multiple managers can register into one registry without name clashes.
-// Must run before RegisterStats.
-func (m *Manager) PrefixStats(prefix string) {
-	for _, c := range []*stats.Counter{&m.Cleaned, &m.Evicted, &m.SyncWrites,
-		&m.AllocWaits, &m.VectorSaves, &m.WriteFails, &m.Steals} {
-		c.Name = prefix + c.Name
-	}
-	for _, g := range []*stats.Gauge{&m.FreeG, &m.DirtyG, &m.LowWaterG, &m.HighWaterG} {
-		g.Name = prefix + g.Name
-	}
-}
-
-// SetWatermarks retunes the reclamation watermarks at runtime — the quota
-// rebalancer calls this when it resizes a tenant's reservation, so a shrunk
-// tenant starts evicting toward its new quota and a grown one stops early.
-func (m *Manager) SetWatermarks(low, high int) {
-	m.Cfg.LowWater, m.Cfg.HighWater = low, high
-	m.LowWaterG.Set(int64(low))
-	m.HighWaterG.Set(int64(high))
-}
-
-// Start launches a private cleaner/reclaimer service for this manager —
-// the single-owner configuration. Multi-tenant systems instead Attach
-// several managers to one Service and Start that.
+// Start launches the cleaner and reclaimer daemons: the legacy pair
+// (pagemgr.cleaner, pagemgr.reclaimer) with Shards <= 1, or one pair per
+// shard (pagemgr.cleaner0, pagemgr.reclaimer0, ...) otherwise. RemoteOf
+// must already be wired.
 func (m *Manager) Start(eng *sim.Engine) {
-	svc := NewService()
-	svc.Attach(m)
-	svc.Start(eng)
+	if m.RemoteOf == nil {
+		panic("pagemgr: Start before wiring RemoteOf")
+	}
+	if m.Shards <= 1 {
+		eng.GoDaemon("pagemgr.cleaner", func(p *sim.Proc) { m.cleanerLoop(p, 0) })
+		eng.GoDaemon("pagemgr.reclaimer", func(p *sim.Proc) { m.reclaimerLoop(p, 0) })
+		return
+	}
+	for i := 0; i < m.Shards; i++ {
+		shard := i
+		eng.GoDaemon(fmt.Sprintf("pagemgr.cleaner%d", shard), func(p *sim.Proc) { m.cleanerLoop(p, shard) })
+		eng.GoDaemon(fmt.Sprintf("pagemgr.reclaimer%d", shard), func(p *sim.Proc) { m.reclaimerLoop(p, shard) })
+	}
 }
 
 // AllocFrame returns a free frame for the fault handler, waking the
@@ -340,8 +320,8 @@ func (m *Manager) Start(eng *sim.Engine) {
 // whole point).
 func (m *Manager) AllocFrame(p *sim.Proc) dram.FrameID {
 	for {
-		if m.Pool.FreeCount() <= m.Cfg.LowWater && m.svc != nil {
-			m.svc.needReclaim.Wake(p.Now())
+		if m.Pool.FreeCount() <= m.Cfg.LowWater {
+			m.needReclaim.Wake(p.Now())
 		}
 		if id, ok := m.Pool.Alloc(); ok {
 			return id
@@ -356,23 +336,14 @@ func (m *Manager) AllocFrame(p *sim.Proc) dram.FrameID {
 // reclamation pressure on the demand path.
 func (m *Manager) TryAllocFrame(p *sim.Proc) (dram.FrameID, bool) {
 	if m.Pool.FreeCount() <= m.Cfg.LowWater {
-		if m.svc != nil {
-			m.svc.needReclaim.Wake(p.Now())
-		}
+		m.needReclaim.Wake(p.Now())
 		return dram.NoFrame, false
 	}
 	return m.Pool.Alloc()
 }
 
-// InsertLRU registers a freshly mapped frame with the LRU list (shard 0 —
-// the legacy single-list entry point).
-func (m *Manager) InsertLRU(id dram.FrameID, vpn pagetable.VPN) {
-	m.InsertLRUFor(0, id, vpn)
-}
-
 // InsertLRUFor registers a freshly mapped frame with the faulting core's
-// home shard. With sharding off every core folds to shard 0, so the call
-// is byte-identical to InsertLRU.
+// home shard. With sharding off every core folds to shard 0.
 func (m *Manager) InsertLRUFor(core int, id dram.FrameID, vpn pagetable.VPN) {
 	meta := m.Pool.Meta(id)
 	meta.VPN = vpn
@@ -430,152 +401,61 @@ func (m *Manager) storeVector(chunks []Chunk) uint64 {
 	return uint64(len(m.vectors) - 1)
 }
 
-// Service owns the cleaner and reclaimer daemons: one pair of background
-// processes serving every attached Manager. In single-owner mode exactly
-// one manager is attached and the loops reduce to the original per-manager
-// daemons; in multi-tenant mode the shared daemons sweep each tenant's own
-// LRU/dirty state in attach order — the work stays per-tenant (and is
-// charged to the tenant's queue pairs and counters), only the scheduling
-// vehicle is shared.
-type Service struct {
-	mgrs []*Manager
-	// Shards, when > 1, runs one cleaner/reclaimer daemon pair per shard
-	// (pagemgr.cleaner0, pagemgr.reclaimer0, ...); each pair sweeps only
-	// its shard of every attached sharded manager. 0 or 1 keeps the
-	// legacy two daemons with the legacy names — byte-identical runs.
-	Shards      int
-	needReclaim sim.Waiter // reclaimer parks here when all pools are above high water
-}
-
-// NewService creates an empty cleaner/reclaimer service.
-func NewService() *Service { return &Service{} }
-
-// Attach registers a manager with the service. Must run before Start; the
-// manager's RemoteOf must already be wired.
-func (s *Service) Attach(m *Manager) {
-	if m.RemoteOf == nil {
-		panic("pagemgr: Attach before wiring RemoteOf")
-	}
-	m.svc = s
-	s.mgrs = append(s.mgrs, m)
-}
-
-// Start launches the cleaner and reclaimer daemons: the legacy pair for
-// an unsharded service, or one pair per shard when Shards > 1.
-func (s *Service) Start(eng *sim.Engine) {
-	if len(s.mgrs) == 0 {
-		panic("pagemgr: Start with no managers attached")
-	}
-	if s.Shards <= 1 {
-		eng.GoDaemon("pagemgr.cleaner", func(p *sim.Proc) { s.cleanerLoop(p, 0) })
-		eng.GoDaemon("pagemgr.reclaimer", func(p *sim.Proc) { s.reclaimerLoop(p, 0) })
-		return
-	}
-	for i := 0; i < s.Shards; i++ {
-		shard := i
-		eng.GoDaemon(fmt.Sprintf("pagemgr.cleaner%d", shard), func(p *sim.Proc) { s.cleanerLoop(p, shard) })
-		eng.GoDaemon(fmt.Sprintf("pagemgr.reclaimer%d", shard), func(p *sim.Proc) { s.reclaimerLoop(p, shard) })
-	}
-}
-
-// shardOf maps a service daemon's shard index onto one manager: a sharded
-// manager is swept shard-for-shard; a single-list manager (legacy or a
-// tenant view) is swept only by daemon 0 so its list is never scanned
-// twice per period.
-func shardOf(m *Manager, shard int) (int, bool) {
-	if m.Shards > 1 {
-		if shard < m.Shards {
-			return shard, true
-		}
-		return 0, false
-	}
-	return 0, shard == 0
-}
-
-// cleanerLoop periodically writes dirty pages back to the memory node and
-// clears their dirty bits, so the reclaimer always finds clean victims.
-// The period comes from the first attached manager (all managers of one
-// system share a Config template).
-func (s *Service) cleanerLoop(p *sim.Proc, shard int) {
+// cleanerLoop periodically writes one shard's dirty pages back to the
+// memory node and clears their dirty bits, so the reclaimer always finds
+// clean victims.
+func (m *Manager) cleanerLoop(p *sim.Proc, shard int) {
 	for {
-		p.Sleep(s.mgrs[0].Cfg.CleanerPeriod)
-		for _, m := range s.mgrs {
-			sh, ok := shardOf(m, shard)
-			if !ok {
-				continue
-			}
-			if m.Throttled != nil && m.Throttled(p.Now()) {
-				continue // this owner's dirty set drains at its own rate
-			}
-			if m.Wide != nil {
-				// The shared-structure baseline: the whole sweep — pacing
-				// wait included — sits inside the coarse lock, so every
-				// fault handler transition queues behind it.
-				m.Wide.Acquire(p)
-				m.cleanPass(p, sh)
-				m.Wide.Release(p)
-				continue
-			}
-			m.cleanPass(p, sh)
-		}
-	}
-}
-
-// reclaimerLoop keeps every attached pool's free list above its high
-// watermark by evicting the least-recently-used clean pages with the clock
-// algorithm. It parks only when every pool is above water. A sharded
-// reclaimer prefers its own shard and steals a victim from a neighbour's
-// list when its own is empty of evictable pages, so no core starves the
-// pool.
-func (s *Service) reclaimerLoop(p *sim.Proc, shard int) {
-	for {
-		idle, evicted := true, false
-		for _, m := range s.mgrs {
-			sh, ok := shardOf(m, shard)
-			if !ok {
-				continue
-			}
-			if m.Pool.FreeCount() >= m.Cfg.HighWater {
-				continue
-			}
-			idle = false
-			if m.Throttled != nil && m.Throttled(p.Now()) {
-				// Below water but over its fabric budget: retry on the sleep
-				// path below rather than stalling the shared daemon inside
-				// this owner's gated write-backs.
-				continue
-			}
-			t0 := p.Now()
-			if victim, ok := m.reclaimStepSteal(p, sh); ok {
-				evicted = true
-				if m.Tel != nil {
-					m.Tel.Emit(m.reclaimTrackFor(sh), telemetry.Span{
-						Kind: telemetry.KindReclaim, Start: t0, End: p.Now(), Arg: 1,
-					})
-				}
-				if victim != sh {
-					// Cross-shard steal: mark the thief's track with the
-					// victim so the timeline shows who raided whom.
-					m.Steals.Inc()
-					if m.Tel != nil {
-						m.Tel.Emit(m.reclaimTrackFor(sh), telemetry.Span{
-							Kind: telemetry.KindSteal, Start: t0, End: p.Now(), Arg: uint64(victim),
-						})
-					}
-					if m.OnSteal != nil {
-						m.OnSteal(p.Now(), sh, victim)
-					}
-				}
-			}
-		}
-		if idle {
-			s.needReclaim.Wait(p)
+		p.Sleep(m.Cfg.CleanerPeriod)
+		if m.Wide != nil {
+			// The shared-structure baseline: the whole sweep — pacing
+			// wait included — sits inside the coarse lock, so every
+			// fault handler transition queues behind it.
+			m.Wide.Acquire(p)
+			m.cleanPass(p, shard)
+			m.Wide.Release(p)
 			continue
 		}
-		if !evicted {
+		m.cleanPass(p, shard)
+	}
+}
+
+// reclaimerLoop keeps the pool's free list above its high watermark by
+// evicting the least-recently-used clean pages with the clock algorithm,
+// parking while the pool is above water. A sharded reclaimer prefers its
+// own shard and steals a victim from a neighbour's list when its own is
+// empty of evictable pages, so no core starves the pool.
+func (m *Manager) reclaimerLoop(p *sim.Proc, shard int) {
+	for {
+		if m.Pool.FreeCount() >= m.Cfg.HighWater {
+			m.needReclaim.Wait(p)
+			continue
+		}
+		t0 := p.Now()
+		victim, ok := m.reclaimStepSteal(p, shard)
+		if !ok {
 			// Nothing evictable this instant (all pinned/accessed just
 			// cleared); yield briefly and retry.
 			p.Sleep(5 * sim.Microsecond)
+			continue
+		}
+		if m.Tel != nil {
+			m.Tel.Emit(m.reclaimTrackFor(shard), telemetry.Span{
+				Kind: telemetry.KindReclaim, Start: t0, End: p.Now(), Arg: 1,
+			})
+		}
+		if victim != shard {
+			// Cross-shard steal: mark the thief's track with the victim so
+			// the timeline shows who raided whom.
+			m.Steals.Inc()
+			if m.Tel != nil {
+				m.Tel.Emit(m.reclaimTrackFor(shard), telemetry.Span{
+					Kind: telemetry.KindSteal, Start: t0, End: p.Now(), Arg: uint64(victim),
+				})
+			}
+			if m.OnSteal != nil {
+				m.OnSteal(p.Now(), shard, victim)
+			}
 		}
 	}
 }

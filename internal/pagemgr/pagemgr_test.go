@@ -66,7 +66,7 @@ func (f *fixture) mapPage(vpn pagetable.VPN, dirty bool, fill byte) dram.FrameID
 		pte |= pagetable.BitDirty
 	}
 	f.tbl.Set(vpn, pte)
-	f.mgr.InsertLRU(id, vpn)
+	f.mgr.InsertLRUFor(0, id, vpn)
 	return id
 }
 

@@ -69,17 +69,6 @@ func TestRegistryGaugeDuplicatePanics(t *testing.T) {
 	r.RegisterGauge(&Gauge{Name: "dup"})
 }
 
-func TestRegistryMergeCarriesGauges(t *testing.T) {
-	sub := NewRegistry()
-	g := sub.RegisterGauge(&Gauge{Name: "sub.gauge"})
-	g.Set(7)
-	top := NewRegistry()
-	top.Merge(sub)
-	if got, ok := top.Snapshot().Gauge("sub.gauge"); !ok || got.Last != 7 {
-		t.Fatalf("merged gauge = %+v, %v", got, ok)
-	}
-}
-
 // Regression: the final bucket of a Bandwidth series is partial — a run
 // that moved 1 MB in its first 100 µs must report ≈10 GB/s, not the
 // 1 GB/s that averaging over the full 1 ms bucket width reported.

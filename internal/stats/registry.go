@@ -63,23 +63,6 @@ func (r *Registry) RegisterBandwidth(b *Bandwidth) *Bandwidth {
 	return b
 }
 
-// Merge registers every metric of other into r. Use it to fold a
-// subsystem's registry into its owner's.
-func (r *Registry) Merge(other *Registry) {
-	for _, c := range other.counters {
-		r.RegisterCounter(c)
-	}
-	for _, g := range other.gauges {
-		r.RegisterGauge(g)
-	}
-	for _, h := range other.histograms {
-		r.RegisterHistogram(h)
-	}
-	for _, b := range other.bandwidths {
-		r.RegisterBandwidth(b)
-	}
-}
-
 // Snapshot captures the current value of every registered metric, sorted
 // by name within each kind. The result is JSON-serialisable and
 // detached from the live metrics.

@@ -75,22 +75,6 @@ func TestRegistryUnnamedPanics(t *testing.T) {
 	NewRegistry().RegisterCounter(&Counter{})
 }
 
-func TestRegistryMerge(t *testing.T) {
-	sub := NewRegistry()
-	sub.RegisterCounter(&Counter{Name: "sub.n", N: 3})
-	sub.RegisterHistogram(NewHistogram("sub.lat"))
-	owner := NewRegistry()
-	owner.RegisterCounter(&Counter{Name: "own.n"})
-	owner.Merge(sub)
-	s := owner.Snapshot()
-	if n, ok := s.Counter("sub.n"); !ok || n != 3 {
-		t.Fatalf("merged counter missing: %d,%v", n, ok)
-	}
-	if _, ok := s.Histogram("sub.lat"); !ok {
-		t.Fatal("merged histogram missing")
-	}
-}
-
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.RegisterCounter(&Counter{Name: "c", N: 42})
