@@ -49,7 +49,6 @@ func runRealChaos(f realChaosFlags) int {
 		Baseline:     f.baseline,
 		Outage:       f.outage,
 		Recovery:     f.recovery,
-		V1Compare:    true,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ext9: %v\n", err)
@@ -64,10 +63,6 @@ func runRealChaos(f realChaosFlags) int {
 		res.BaselineMBs, res.OutageMBs, res.RecoveredMBs)
 	fmt.Printf("ext9: stall (budget %v): p50=%v p99=%v max=%v\n",
 		res.DeadlineBudget, res.StallP50, res.StallP99, res.StallMax)
-	if res.V1ReadMBs > 0 {
-		fmt.Printf("ext9: loopback 4KiB READ: v1 sequential %.1f MB/s, v2 pipelined %.1f MB/s (%.2fx)\n",
-			res.V1ReadMBs, res.V2ReadMBs, res.V2ReadMBs/res.V1ReadMBs)
-	}
 	keys := make([]string, 0, len(res.Transport))
 	for k := range res.Transport {
 		keys = append(keys, k)

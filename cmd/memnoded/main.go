@@ -1,6 +1,6 @@
 // Command memnoded is the memory node daemon: it registers a memory region
 // and serves one-sided READ/WRITE/vectored requests over the TCP transport
-// (internal/transport, protocol v2 with a legacy v1 fallback) — the role
+// (internal/transport, protocol v2) — the role
 // the paper's memory node plays (§5 "Memory node"), runnable on any host.
 //
 // Usage:

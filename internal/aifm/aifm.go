@@ -218,9 +218,6 @@ func (s *System) Launch(name string, fn func(t *Thread)) {
 	s.Eng.Go(name, func(p *sim.Proc) { fn(&Thread{sys: s, p: p}) })
 }
 
-// Bind wraps an existing sim process.
-func (s *System) Bind(p *sim.Proc) *Thread { return &Thread{sys: s, p: p} }
-
 // Proc returns the underlying sim process.
 func (t *Thread) Proc() *sim.Proc { return t.p }
 
@@ -394,10 +391,4 @@ func (s *System) evacStep(p *sim.Proc) bool {
 		return true
 	}
 	return false
-}
-
-// Stats prints-friendly summary.
-func (s *System) Stats() string {
-	return fmt.Sprintf("derefs=%d misses=%d prefetches=%d evacuated=%d",
-		s.DerefChecks.N, s.Misses.N, s.Prefetches.N, s.Evacuated.N)
 }

@@ -106,15 +106,6 @@ func (a *Array) WriteU64(t *Thread, i uint64, v uint64) {
 	a.markDirty(i)
 }
 
-// ReadU8 reads a byte element.
-func (a *Array) ReadU8(t *Thread, i uint64) byte { return a.access(t.p, i)[0] }
-
-// WriteU8 writes a byte element.
-func (a *Array) WriteU8(t *Thread, i uint64, v byte) {
-	a.access(t.p, i)[0] = v
-	a.markDirty(i)
-}
-
 // ReadBytes copies elements [i, i+len(buf)) of a byte array into buf.
 func (a *Array) ReadBytes(t *Thread, i uint64, buf []byte) {
 	if a.elemSize != 1 {

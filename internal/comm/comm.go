@@ -47,16 +47,6 @@ func (m Module) String() string {
 	return fmt.Sprintf("module(%d)", int(m))
 }
 
-// ParseModule is the inverse of Module.String for the named modules.
-func ParseModule(name string) (Module, error) {
-	for m := Module(0); m < NumModules; m++ {
-		if m.String() == name {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("comm: unknown module %q", name)
-}
-
 // Hub owns the per-core × per-module queue pairs.
 type Hub struct {
 	qps [][]*fabric.QP // [core][module]

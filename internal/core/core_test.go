@@ -297,7 +297,7 @@ func TestRandomizedIntegrityUnderPressure(t *testing.T) {
 
 func TestRemoteOfOutsideRegions(t *testing.T) {
 	sys, _ := newSys(t, 16, nil)
-	if _, _, ok := sys.RemoteOf(pagetable.VPNOf(1 << 40)); ok {
+	if _, _, ok := sys.remoteOf(pagetable.VPNOf(1 << 40)); ok {
 		t.Fatal("RemoteOf accepted an unmapped vpn")
 	}
 }
@@ -350,9 +350,9 @@ func TestMultiMemoryNodeSharding(t *testing.T) {
 	}
 	// Striping is page-round-robin: consecutive pages hit different nodes.
 	base := sys.Space().Regions()[0].BaseVPN
-	n0, _, _ := sys.RemoteOf(base)
-	n1, _, _ := sys.RemoteOf(base + 1)
-	n3, _, _ := sys.RemoteOf(base + 3)
+	n0, _, _ := sys.remoteOf(base)
+	n1, _, _ := sys.remoteOf(base + 1)
+	n3, _, _ := sys.remoteOf(base + 3)
 	if n0 == n1 || n0 != n3 {
 		t.Fatalf("striping wrong: nodes %d %d %d", n0, n1, n3)
 	}
@@ -655,7 +655,7 @@ func TestReplicaFetchesCountedAtFetchSiteOnly(t *testing.T) {
 				t.Errorf("page %d did not resolve", i)
 				return
 			}
-			if _, _, ok := sys.RemoteOf(baseVPN + pagetable.VPN(i)); !ok {
+			if _, _, ok := sys.remoteOf(baseVPN + pagetable.VPN(i)); !ok {
 				t.Errorf("page %d did not resolve via RemoteOf", i)
 				return
 			}

@@ -50,9 +50,6 @@ func (h *coreHandler) HandleFault(c *mmu.Core, vpn pagetable.VPN, write bool) {
 		if s.Trace != nil {
 			s.Trace.RecordOn(p.Now(), vpn, trace.Major, h.coreID)
 		}
-		if s.hugeFault(p, h.coreID, vpn) {
-			return
-		}
 		// The fetch offset comes from the (failover-aware) slot mapping,
 		// not the PTE payload, so a page whose primary node died reads
 		// from its next live replica. majorFetch resolves the slot and

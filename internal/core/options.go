@@ -2,8 +2,9 @@ package core
 
 import "fmt"
 
-// Validate reports whether the config assembles a working system. It
-// surfaces the precedence rules New historically resolved silently:
+// normalized applies defaults and enforces the rules that decide whether
+// the config assembles a working system, returning the resolved config
+// build consumes. The rules:
 //
 //   - CacheFrames and Cores are always required.
 //   - With Backings, the backings size the pool: RemoteBytes must be 0
@@ -14,13 +15,6 @@ import "fmt"
 //     monitor would only burn probe bandwidth.
 //   - SampleEvery without Tel is rejected — there is nowhere to sample to.
 //   - Migrate tuning must pass migrate.Tuning.Validate.
-func (c Config) Validate() error {
-	_, err := c.normalized()
-	return err
-}
-
-// normalized applies defaults and enforces the Validate rules, returning
-// the resolved config build consumes.
 func (c Config) normalized() (Config, error) {
 	if c.CacheFrames <= 0 {
 		return c, fmt.Errorf("core: CacheFrames is required (got %d)", c.CacheFrames)

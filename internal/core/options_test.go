@@ -68,7 +68,7 @@ func TestConfigValidateRules(t *testing.T) {
 	for _, tc := range cases {
 		cfg := valid
 		tc.mut(&cfg)
-		err := cfg.Validate()
+		_, err := cfg.normalized()
 		if tc.want == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tc.name, err)
@@ -106,7 +106,7 @@ func TestNewBuildsConfiguredSystem(t *testing.T) {
 		Replicas:    2,
 		Migrate:     &migrate.Tuning{},
 	}
-	if err := cfg.Validate(); err != nil {
+	if _, err := cfg.normalized(); err != nil {
 		t.Fatal(err)
 	}
 	eng := sim.New()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"testing"
 
 	"dilos/internal/dram"
@@ -130,28 +129,6 @@ func TestDiscardRange(t *testing.T) {
 			if got := sp.LoadU64(base + i*PageSize); got != 0xf00d+i {
 				t.Fatalf("page %d read %#x after rewrite of discarded range", i, got)
 			}
-		}
-	})
-	eng.Run()
-}
-
-// TestMmapDDCHugeGuidedErr pins the typed error: huge regions and an
-// eviction guide cannot coexist, and the caller hears that instead of
-// silently losing the huge mapping.
-func TestMmapDDCHugeGuidedErr(t *testing.T) {
-	fw := &forwardGuide{}
-	eng := sim.New()
-	sys := New(eng, Config{
-		CacheFrames:   1024,
-		Cores:         2,
-		RemoteBytes:   64 << 20,
-		Fabric:        fabric.DefaultParams(),
-		EvictionGuide: fw,
-	})
-	sys.Start()
-	sys.Launch("app", 0, func(sp *DDCProc) {
-		if _, err := sys.MmapDDCHuge(1); !errors.Is(err, ErrHugeGuided) {
-			t.Fatalf("MmapDDCHuge on a guided system returned %v, want ErrHugeGuided", err)
 		}
 	})
 	eng.Run()

@@ -15,14 +15,8 @@ type DDCProc struct {
 	core   *mmu.Core
 }
 
-// System returns the owning DiLOS system.
-func (d *DDCProc) System() *System { return d.sys }
-
 // CoreID returns the core this thread runs on.
 func (d *DDCProc) CoreID() int { return d.coreID }
-
-// MMU returns the underlying core (counters, TLB control).
-func (d *DDCProc) MMU() *mmu.Core { return d.core }
 
 // Proc returns the sim process.
 func (d *DDCProc) Proc() *sim.Proc { return d.core.Proc }

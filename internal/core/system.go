@@ -267,11 +267,9 @@ type System struct {
 	cores       int
 	sharedQP    bool
 
-	// Sharded fault path (Config.Shards / Config.WideLocks). huge holds the
-	// 2 MB regions MmapDDCHuge registered, sorted by base VPN.
+	// Sharded fault path (Config.Shards / Config.WideLocks).
 	shards    int
 	wideLocks bool
-	huge      []hugeSpan
 
 	// Obs is the live observability plane (nil when disabled).
 	// sloMon/sloID are this system's objective registration — the
@@ -375,8 +373,7 @@ type pfIssue struct {
 }
 
 // New assembles a DiLOS node from the config, panicking on an invalid
-// one. Callers that want the error instead check Config.Validate first
-// (it documents the rules).
+// one (Config.normalized documents the rules).
 func New(eng *sim.Engine, cfg Config) *System {
 	n, err := cfg.normalized()
 	if err != nil {
@@ -387,7 +384,7 @@ func New(eng *sim.Engine, cfg Config) *System {
 
 // build assembles the system from an already-normalized config:
 // MemNodes and Replicas are resolved, and every cross-field rule in
-// Config.Validate has passed.
+// Config.normalized has passed.
 func build(eng *sim.Engine, cfg Config) *System {
 	var nodes []*memnode.Node
 	backings := cfg.Backings
@@ -858,9 +855,6 @@ func (s *System) AttachGuide(g guide.Guide) {
 	s.guides = append(s.guides, g)
 }
 
-// Guides returns the attached guides in attachment order.
-func (s *System) Guides() []guide.Guide { return s.guides }
-
 // GoDaemon implements guide.Host: it spawns a guide daemon on the engine.
 func (s *System) GoDaemon(name string, fn func(p *sim.Proc)) { s.Eng.GoDaemon(name, fn) }
 
@@ -913,10 +907,6 @@ func (s *System) remoteOf(v pagetable.VPN) (int, uint64, bool) {
 	}
 	return sl.Node, sl.Off, true
 }
-
-// RemoteOf exposes the page→(node, remote slot) mapping (guides use it for
-// subpage reads).
-func (s *System) RemoteOf(v pagetable.VPN) (int, uint64, bool) { return s.remoteOf(v) }
 
 func (s *System) newSlot(vpn pagetable.VPN, frame dram.FrameID) uint64 {
 	if k := len(s.freeSlots); k > 0 {

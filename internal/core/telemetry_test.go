@@ -99,7 +99,7 @@ func TestTelemetrySpansCoverFaults(t *testing.T) {
 	if int64(a.Faults) != majors {
 		t.Errorf("anatomy saw %d faults, recorder holds %d", a.Faults, majors)
 	}
-	if a.Mean() == 0 {
+	if a.MeanNs == 0 {
 		t.Error("anatomy mean is zero")
 	}
 }

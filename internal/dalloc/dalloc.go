@@ -256,10 +256,3 @@ func (a *Allocator) LiveChunks(vpn pagetable.VPN) ([]pagemgr.Chunk, bool) {
 	}
 	return runs, true
 }
-
-// Classes exposes the size-class table (for tests and docs).
-func Classes() []uint32 {
-	out := make([]uint32, len(classes))
-	copy(out, classes)
-	return out
-}

@@ -24,7 +24,6 @@ import (
 type Col interface {
 	Get(i uint64) uint64
 	Set(i uint64, v uint64)
-	Len() uint64
 }
 
 // SpaceCol stores the column at base in a Space.
@@ -40,9 +39,6 @@ func (c *SpaceCol) Get(i uint64) uint64 { return c.SP.LoadU64(c.Base + i*8) }
 // Set implements Col.
 func (c *SpaceCol) Set(i uint64, v uint64) { c.SP.StoreU64(c.Base+i*8, v) }
 
-// Len implements Col.
-func (c *SpaceCol) Len() uint64 { return c.N }
-
 // AIFMCol stores the column in an AIFM remoteable array.
 type AIFMCol struct {
 	Arr *aifm.Array
@@ -55,9 +51,6 @@ func (c *AIFMCol) Get(i uint64) uint64 { return c.Arr.ReadU64(c.T, i) }
 // Set implements Col.
 func (c *AIFMCol) Set(i uint64, v uint64) { c.Arr.WriteU64(c.T, i, v) }
 
-// Len implements Col.
-func (c *AIFMCol) Len() uint64 { return c.Arr.Len() }
-
 // Frame is the taxi-trip table.
 type Frame struct {
 	N          uint64
@@ -68,11 +61,6 @@ type Frame struct {
 	FareCents  Col
 	PickupLoc  Col // zone id 0..262
 	DropoffLoc Col
-}
-
-// Cols returns the frame's columns in schema order.
-func (f *Frame) Cols() []Col {
-	return []Col{f.PickupTS, f.DropoffTS, f.Passengers, f.DistanceM, f.FareCents, f.PickupLoc, f.DropoffLoc}
 }
 
 // NewSpaceFrame allocates all columns of an n-row frame in a Space.

@@ -239,11 +239,10 @@ func (a *aifmByteSpace) LoadU8(addr uint64) byte {
 	a.Load(addr, b[:])
 	return b[0]
 }
-func (a *aifmByteSpace) StoreU8(addr uint64, v byte) { a.Store(addr, []byte{v}) }
-func (a *aifmByteSpace) Malloc(n uint64) uint64      { panic("aifm shim: no malloc") }
-func (a *aifmByteSpace) Free(addr, n uint64)         {}
-func (a *aifmByteSpace) Compute(d sim.Time)          { a.t.Compute(d) }
-func (a *aifmByteSpace) Now() sim.Time               { return a.t.Now() }
+func (a *aifmByteSpace) Malloc(n uint64) uint64 { panic("aifm shim: no malloc") }
+func (a *aifmByteSpace) Free(addr, n uint64)    {}
+func (a *aifmByteSpace) Compute(d sim.Time)     { a.t.Compute(d) }
+func (a *aifmByteSpace) Now() sim.Time          { return a.t.Now() }
 
 // Fig8 reproduces Figure 8: the DataFrame NYC-taxi analysis across AIFM,
 // DiLOS, DiLOS-TCP, and Fastswap.

@@ -8,8 +8,7 @@ package experiments
 // acknowledged byte is checked against a host-side shadow copy, every
 // request carries a deadline budget bounding its stall, and once the
 // killed daemon restarts the harness re-replicates onto it and throughput
-// recovers. The same harness measures the pipelined v2 client against the
-// legacy v1 one-at-a-time client on the same wire.
+// recovers.
 
 import (
 	"bufio"
@@ -53,9 +52,8 @@ type RealChaosConfig struct {
 	Outage   time.Duration // kill -9 .. restart
 	Recovery time.Duration // post-restart observation
 
-	KillNode  int   // which replica the harness kill -9's
-	Seed      int64 // driver RNG seed
-	V1Compare bool  // also measure v1 vs v2 READ throughput on node 0
+	KillNode int   // which replica the harness kill -9's
+	Seed     int64 // driver RNG seed
 }
 
 func (c *RealChaosConfig) defaults() {
@@ -114,9 +112,6 @@ type RealChaosResult struct {
 	// configured budget (plus sweep slack) even through the kill.
 	DeadlineBudget               time.Duration
 	StallP50, StallP99, StallMax time.Duration
-
-	// Pipelined v2 vs legacy v1 sequential READ throughput (V1Compare).
-	V1ReadMBs, V2ReadMBs float64
 
 	// Merged transport.* client counters.
 	Transport map[string]int64
@@ -503,13 +498,6 @@ func ExtRealChaos(cfg RealChaosConfig) (RealChaosResult, error) {
 			res.Transport[k] += v
 		}
 	}
-
-	if cfg.V1Compare {
-		res.V1ReadMBs, res.V2ReadMBs, err = realCompareV1V2(nodes[0].addr, nodes[0].base)
-		if err != nil {
-			return res, fmt.Errorf("ext9: v1/v2 comparison: %w", err)
-		}
-	}
 	return res, nil
 }
 
@@ -528,60 +516,4 @@ func realPhaseMBs(buckets []int64, from, to time.Duration) float64 {
 		return 0
 	}
 	return float64(bytesN) / 1e6 / (time.Duration(n) * realBucket).Seconds()
-}
-
-// realCompareV1V2 measures sequential 4 KiB READ throughput through the
-// legacy one-at-a-time v1 client and the pipelined v2 client against the
-// same daemon.
-func realCompareV1V2(addr string, base uint64) (v1MBs, v2MBs float64, err error) {
-	const ops = 3000
-	const span = 64 // pages cycled over
-
-	v1c, err := transport.DialV1(addr, realPKey)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer v1c.Close()
-	buf := make([]byte, realPageSize)
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		if err := v1c.Read(base+uint64(i%span)*realPageSize, buf); err != nil {
-			return 0, 0, err
-		}
-	}
-	v1MBs = float64(ops*realPageSize) / 1e6 / time.Since(start).Seconds()
-
-	v2c, err := transport.Dial(addr, realPKey,
-		transport.WithDepth(64), transport.WithDeadline(10*time.Second))
-	if err != nil {
-		return 0, 0, err
-	}
-	defer v2c.Close()
-	const window = 64
-	bufs := make([][]byte, window)
-	for i := range bufs {
-		bufs[i] = make([]byte, realPageSize)
-	}
-	pend := make([]*transport.Pending, 0, window)
-	start = time.Now()
-	for i := 0; i < ops; i++ {
-		if len(pend) == window {
-			if err := pend[0].Wait(); err != nil {
-				return 0, 0, err
-			}
-			pend = pend[1:]
-		}
-		p, err := v2c.AsyncRead(base+uint64(i%span)*realPageSize, bufs[i%window])
-		if err != nil {
-			return 0, 0, err
-		}
-		pend = append(pend, p)
-	}
-	for _, p := range pend {
-		if err := p.Wait(); err != nil {
-			return 0, 0, err
-		}
-	}
-	v2MBs = float64(ops*realPageSize) / 1e6 / time.Since(start).Seconds()
-	return v1MBs, v2MBs, nil
 }

@@ -29,7 +29,6 @@ func TestRealChaosSmoke(t *testing.T) {
 		Baseline:     600 * time.Millisecond,
 		Outage:       800 * time.Millisecond,
 		Recovery:     600 * time.Millisecond,
-		V1Compare:    !raceEnabled,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -38,10 +37,6 @@ func TestRealChaosSmoke(t *testing.T) {
 		res.Ops, res.Reads, res.Writes, res.FailedOps, res.Verified, res.ReReplicated, res.RecoverTook)
 	t.Logf("ext9: baseline %.1f MB/s, outage %.1f MB/s, recovered %.1f MB/s; stall p50=%v p99=%v max=%v",
 		res.BaselineMBs, res.OutageMBs, res.RecoveredMBs, res.StallP50, res.StallP99, res.StallMax)
-	if res.V1ReadMBs > 0 {
-		t.Logf("ext9: v1 %.1f MB/s vs v2 pipelined %.1f MB/s (%.2fx)",
-			res.V1ReadMBs, res.V2ReadMBs, res.V2ReadMBs/res.V1ReadMBs)
-	}
 
 	if res.Corruptions != 0 {
 		t.Fatalf("ext9: %d corruptions against the host-side shadow", res.Corruptions)
@@ -66,12 +61,6 @@ func TestRealChaosSmoke(t *testing.T) {
 	if res.RecoveredMBs < res.BaselineMBs/4 {
 		t.Fatalf("ext9: throughput did not recover: baseline %.1f MB/s, recovered %.1f MB/s",
 			res.BaselineMBs, res.RecoveredMBs)
-	}
-	// The pipelined v2 client must beat v1 on loopback READs (skipped
-	// under the race detector: the timing would measure instrumentation).
-	if res.V1ReadMBs > 0 && res.V2ReadMBs <= res.V1ReadMBs {
-		t.Fatalf("ext9: v2 pipelined (%.1f MB/s) not faster than v1 (%.1f MB/s)",
-			res.V2ReadMBs, res.V1ReadMBs)
 	}
 	for _, key := range []string{"transport.sent", "transport.retries", "transport.redials"} {
 		if _, ok := res.Transport[key]; !ok {

@@ -177,9 +177,6 @@ func (l *Link) SampleBacklog(now sim.Time) {
 	l.TxBacklog.Set(int64(tx))
 }
 
-// Store returns the remote-memory service this link reaches.
-func (l *Link) Store() Store { return l.store }
-
 // QP is a queue pair. DiLOS assigns one per (core, module) so that a page
 // fault's fetch is never queued behind prefetcher or cleaner traffic on the
 // same software queue (§4.5). FIFO completion order is enforced per QP.

@@ -20,7 +20,7 @@ func testLink(t testing.TB) (*Link, *memnode.Node) {
 func TestReadRoundTripsData(t *testing.T) {
 	link, node := testLink(t)
 	qp := link.MustQP("test", node.ProtKey)
-	off, err := node.AllocPage()
+	off, err := node.AllocRange(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestProtectionKeyEnforced(t *testing.T) {
 func TestLatencyModelMatchesFigure2(t *testing.T) {
 	link, node := testLink(t)
 	qp := link.MustQP("lat", node.ProtKey)
-	off, _ := node.AllocPage()
+	off, _ := node.AllocRange(1)
 
 	lat := func(size int) sim.Time {
 		// fresh link horizon per measurement: use a far-future issue time
@@ -76,7 +76,7 @@ func TestLatencyModelMatchesFigure2(t *testing.T) {
 func TestPipelinedPageThroughput(t *testing.T) {
 	link, node := testLink(t)
 	qp := link.MustQP("bw", node.ProtKey)
-	off, _ := node.AllocPage()
+	off, _ := node.AllocRange(1)
 	buf := make([]byte, memnode.PageSize)
 	const n = 10000
 	var last *Op
@@ -95,7 +95,7 @@ func TestPipelinedPageThroughput(t *testing.T) {
 func TestFullDuplexDirectionsIndependent(t *testing.T) {
 	link, node := testLink(t)
 	qp := link.MustQP("dup", node.ProtKey)
-	off, _ := node.AllocPage()
+	off, _ := node.AllocRange(1)
 	buf := make([]byte, memnode.PageSize)
 
 	// Saturate TX with writes, then issue a read: the read must not queue
@@ -117,7 +117,7 @@ func TestFullDuplexDirectionsIndependent(t *testing.T) {
 func TestSameDirectionSerializes(t *testing.T) {
 	link, node := testLink(t)
 	qp := link.MustQP("ser", node.ProtKey)
-	off, _ := node.AllocPage()
+	off, _ := node.AllocRange(1)
 	buf := make([]byte, memnode.PageSize)
 	op1 := qp.Read(0, off, buf)
 	op2 := qp.Read(0, off, buf)
@@ -133,7 +133,7 @@ func TestSameDirectionSerializes(t *testing.T) {
 func TestQPFIFO(t *testing.T) {
 	link, node := testLink(t)
 	qp := link.MustQP("fifo", node.ProtKey)
-	off, _ := node.AllocPage()
+	off, _ := node.AllocRange(1)
 	big := qp.Read(0, off, make([]byte, 4096))
 	// A tiny read issued immediately after on the same QP must not
 	// complete before the big one.
@@ -146,7 +146,7 @@ func TestQPFIFO(t *testing.T) {
 func TestVectoredSegmentCosts(t *testing.T) {
 	link, node := testLink(t)
 	qp := link.MustQP("vec", node.ProtKey)
-	off, _ := node.AllocPage()
+	off, _ := node.AllocRange(1)
 	seg := func(n int) []Seg {
 		segs := make([]Seg, n)
 		for i := range segs {
@@ -171,7 +171,7 @@ func TestTCPEmulationDelay(t *testing.T) {
 	node := memnode.New(4<<20, 1)
 	rdma := NewLink(node, DefaultParams())
 	tcp := NewLink(node, TCPParams())
-	off, _ := node.AllocPage()
+	off, _ := node.AllocRange(1)
 	buf := make([]byte, 4096)
 	r := rdma.MustQP("r", 1).Read(0, off, buf)
 	tc := tcp.MustQP("t", 1).Read(0, off, buf)
@@ -189,7 +189,7 @@ func TestBandwidthAccounting(t *testing.T) {
 	link, node := testLink(t)
 	link.RxBW = stats.NewBandwidth("rx", sim.Millisecond)
 	qp := link.MustQP("bw", node.ProtKey)
-	off, _ := node.AllocPage()
+	off, _ := node.AllocRange(1)
 	qp.Read(0, off, make([]byte, 4096))
 	qp.Write(0, off, make([]byte, 128))
 	if link.RxBytes.N != 4096 || link.TxBytes.N != 128 {
@@ -210,7 +210,7 @@ func TestQuickCompletionBounds(t *testing.T) {
 		node := memnode.New(32<<20, 9)
 		link := NewLink(node, DefaultParams())
 		qp := link.MustQP("q", 9)
-		off, _ := node.AllocPage()
+		off, _ := node.AllocRange(1)
 		rng := rand.New(rand.NewSource(seed))
 		now := sim.Time(0)
 		var sum int64
@@ -247,7 +247,7 @@ func TestQuickQPFIFO(t *testing.T) {
 		node := memnode.New(32<<20, 3)
 		link := NewLink(node, DefaultParams())
 		qp := link.MustQP("q", 3)
-		off, _ := node.AllocPage()
+		off, _ := node.AllocRange(1)
 		now := sim.Time(0)
 		prev := sim.Time(0)
 		for i, s := range sizes {
@@ -286,6 +286,9 @@ func TestMemnodeAllocFree(t *testing.T) {
 		}
 		seen[o] = true
 	}
+	if _, err := node.AllocRange(1); err == nil {
+		t.Fatal("a full node handed out another page")
+	}
 	node.WriteAt(offs[0], []byte{1, 2, 3})
 	node.FreePage(offs[0])
 	off, err := node.AllocPage()
@@ -311,7 +314,7 @@ func TestSubmitAmortizesDoorbell(t *testing.T) {
 	mkReqs := func(node *memnode.Node) []Req {
 		reqs := make([]Req, n)
 		for i := range reqs {
-			off, _ := node.AllocPage()
+			off, _ := node.AllocRange(1)
 			reqs[i] = Req{Kind: OpRead, Segs: []Seg{{Off: off, Buf: make([]byte, 4096)}}}
 		}
 		return reqs

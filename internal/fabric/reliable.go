@@ -87,16 +87,6 @@ func (r *ReliableQP) Write(p *sim.Proc, off uint64, src []byte) error {
 	return r.do(p, func(now sim.Time) *Op { return r.QP.Write(now, off, src) })
 }
 
-// ReadV performs a reliable vectored READ.
-func (r *ReliableQP) ReadV(p *sim.Proc, segs []Seg) error {
-	return r.do(p, func(now sim.Time) *Op { return r.QP.ReadV(now, segs) })
-}
-
-// WriteV performs a reliable vectored WRITE.
-func (r *ReliableQP) WriteV(p *sim.Proc, segs []Seg) error {
-	return r.do(p, func(now sim.Time) *Op { return r.QP.WriteV(now, segs) })
-}
-
 // Do runs an arbitrary issue function under the retry policy — for callers
 // whose op shape varies per attempt (e.g. a vectored fetch rebuilt against
 // a different replica's base offset) or who must publish each attempt's Op

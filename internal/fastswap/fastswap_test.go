@@ -68,7 +68,7 @@ func TestDirectReclaimShowsInBreakdown(t *testing.T) {
 	sys.Launch("app", 0, func(sp *FSProc) {
 		base, _ := sys.MmapDDC(pages)
 		for i := uint64(0); i < pages; i++ {
-			sp.StoreU8(base+i*PageSize, byte(i)) // dirty pages stress reclaim
+			sp.StoreU64(base+i*PageSize, i) // dirty pages stress reclaim
 		}
 	})
 	eng.Run()

@@ -32,12 +32,6 @@ func (s *System) BindCore(p *sim.Proc, coreID int) *FSProc {
 	return &FSProc{sys: s, coreID: coreID, core: c}
 }
 
-// System returns the owning Fastswap system.
-func (f *FSProc) System() *System { return f.sys }
-
-// MMU returns the underlying core.
-func (f *FSProc) MMU() *mmu.Core { return f.core }
-
 // Proc returns the sim process.
 func (f *FSProc) Proc() *sim.Proc { return f.core.Proc }
 
@@ -61,9 +55,6 @@ func (f *FSProc) StoreU32(addr uint64, v uint32) { f.core.StoreU32(addr, v) }
 
 // LoadU8 implements space.Space.
 func (f *FSProc) LoadU8(addr uint64) byte { return f.core.LoadU8(addr) }
-
-// StoreU8 implements space.Space.
-func (f *FSProc) StoreU8(addr uint64, v byte) { f.core.StoreU8(addr, v) }
 
 // Malloc implements space.Space.
 func (f *FSProc) Malloc(n uint64) uint64 {

@@ -266,62 +266,3 @@ func BC(spaces []space.Space, barrier *sim.Barrier, g *Graph, sources []uint64,
 	}
 	return res
 }
-
-// CC computes connected components with label propagation
-// (Shiloach-Vishkin style: each vertex repeatedly adopts the minimum label
-// among itself and its neighbours until a fixpoint). Labels live in
-// simulated memory at labelBase (N u64); vertices are partitioned across
-// workers with barrier-synchronized rounds. changedFlags is one shared
-// bool per worker (caller-allocated). Returns the number of components
-// counted over the worker's own range (callers sum) and the round count.
-func CC(spaces []space.Space, barrier *sim.Barrier, g *Graph,
-	labelBase uint64, changedFlags []bool, worker int) (components uint64, rounds int) {
-	sp := spaces[worker]
-	nw := uint64(len(spaces))
-	lo := g.N * uint64(worker) / nw
-	hi := g.N * uint64(worker+1) / nw
-
-	for v := lo; v < hi; v++ {
-		sp.StoreU64(labelBase+v*8, v)
-	}
-	barrier.Wait(procOf(sp))
-
-	for {
-		rounds++
-		changed := false
-		for v := lo; v < hi; v++ {
-			min := sp.LoadU64(labelBase + v*8)
-			g.Neighbors(sp, v, func(u uint64) {
-				if l := sp.LoadU64(labelBase + u*8); l < min {
-					min = l
-				}
-			})
-			if min < sp.LoadU64(labelBase+v*8) {
-				sp.StoreU64(labelBase+v*8, min)
-				changed = true
-			}
-		}
-		changedFlags[worker] = changed
-		barrier.Wait(procOf(sp))
-		any := false
-		for _, c := range changedFlags {
-			any = any || c
-		}
-		barrier.Wait(procOf(sp)) // everyone reads before worker 0 resets
-		if worker == 0 {
-			for i := range changedFlags {
-				changedFlags[i] = false
-			}
-		}
-		barrier.Wait(procOf(sp))
-		if !any {
-			break
-		}
-	}
-	for v := lo; v < hi; v++ {
-		if sp.LoadU64(labelBase+v*8) == v {
-			components++
-		}
-	}
-	return components, rounds
-}

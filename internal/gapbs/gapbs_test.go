@@ -5,7 +5,6 @@ import (
 
 	"dilos/internal/core"
 	"dilos/internal/fabric"
-	"dilos/internal/prefetch"
 	"dilos/internal/sim"
 	"dilos/internal/space"
 )
@@ -197,111 +196,5 @@ func TestPageRankOnDiLOSFourThreads(t *testing.T) {
 	}
 	if sys.MajorFaults.N == 0 {
 		t.Fatal("no paging exercised")
-	}
-}
-
-func TestCCOnKnownGraph(t *testing.T) {
-	// Build a graph with two obvious components by hand: a path 0-1-2 and
-	// a triangle 4-5-6 (vertex 3 and 7 isolated).
-	sp := space.NewLocal(16 << 20)
-	edges := [][2]uint32{{0, 1}, {1, 2}, {4, 5}, {5, 6}, {6, 4}}
-	n := uint64(8)
-	deg := make([]uint64, n+1)
-	for _, e := range edges {
-		deg[e[0]+1]++
-		deg[e[1]+1]++
-	}
-	for i := uint64(1); i <= n; i++ {
-		deg[i] += deg[i-1]
-	}
-	nbrs := make([]uint32, deg[n])
-	cursor := make([]uint64, n)
-	add := func(a, b uint32) {
-		nbrs[deg[a]+cursor[a]] = b
-		cursor[a]++
-	}
-	for _, e := range edges {
-		add(e[0], e[1])
-		add(e[1], e[0])
-	}
-	g := &Graph{N: n, M: deg[n]}
-	g.OffBase = sp.Malloc((n + 1) * 8)
-	g.NbrBase = sp.Malloc(uint64(len(nbrs)) * 4)
-	for i := uint64(0); i <= n; i++ {
-		sp.StoreU64(g.OffBase+i*8, deg[i])
-	}
-	for i, v := range nbrs {
-		sp.StoreU32(g.NbrBase+uint64(i)*4, v)
-	}
-	eng := sim.New()
-	labelBase := sp.Malloc(n * 8)
-	var comps uint64
-	flags := make([]bool, 1)
-	barrier := sim.NewBarrier(1)
-	eng.Go("cc", func(p *sim.Proc) {
-		sp.P = p
-		c, _ := CC([]space.Space{sp}, barrier, g, labelBase, flags, 0)
-		comps = c
-	})
-	eng.Run()
-	if comps != 4 { // {0,1,2}, {3}, {4,5,6}, {7}
-		t.Fatalf("components = %d, want 4", comps)
-	}
-}
-
-func TestCCWorkerInvariantAndPressure(t *testing.T) {
-	run := func(workers int) uint64 {
-		spaces, eng, base := localWorkers(workers)
-		g := BuildRMAT(base, 9, 6, 12)
-		labelBase := base.Malloc(g.N * 8)
-		flags := make([]bool, workers)
-		barrier := sim.NewBarrier(workers)
-		var total uint64
-		for w := 0; w < workers; w++ {
-			w := w
-			eng.Go("cc", func(p *sim.Proc) {
-				spaces[w].(*space.Local).P = p
-				c, _ := CC(spaces, barrier, g, labelBase, flags, w)
-				total += c
-			})
-		}
-		eng.Run()
-		return total
-	}
-	if a, b := run(1), run(4); a != b {
-		t.Fatalf("CC diverges with workers: %d vs %d", a, b)
-	}
-
-	// And on DiLOS under pressure, with data integrity via component count.
-	eng := sim.New()
-	sys := core.New(eng, core.Config{
-		CacheFrames: 96, Cores: 2, RemoteBytes: 128 << 20,
-		Fabric: fabric.DefaultParams(), Prefetcher: prefetch.NewTrend(),
-	})
-	sys.Start()
-	spaces := make([]space.Space, 2)
-	barrier := sim.NewBarrier(2)
-	ready := sim.NewBarrier(3)
-	var g *Graph
-	var labelBase uint64
-	flags := make([]bool, 2)
-	sys.Launch("builder", 0, func(sp *core.DDCProc) {
-		g = BuildRMAT(sp, 9, 6, 12)
-		labelBase = sp.Malloc(g.N * 8)
-		ready.Wait(sp.Proc())
-	})
-	var total uint64
-	for w := 0; w < 2; w++ {
-		w := w
-		sys.Launch("cc", w, func(sp *core.DDCProc) {
-			spaces[w] = sp
-			ready.Wait(sp.Proc())
-			c, _ := CC(spaces, barrier, g, labelBase, flags, w)
-			total += c
-		})
-	}
-	eng.Run()
-	if total != run(1) {
-		t.Fatalf("CC under paging (%d) diverges from local (%d)", total, run(1))
 	}
 }

@@ -5,9 +5,10 @@
 // the only active code here is region allocation, performed once on the
 // control path at setup time.
 //
-// The region is carved into 4 KiB pages handed out by AllocPage/FreePage.
-// Like the paper's memory node we account the region in 2 MiB huge pages,
-// which is what lets the RNIC cache the whole mapping table.
+// The region is carved into 4 KiB pages handed out in contiguous ranges by
+// AllocRange, or one at a time by AllocPage/FreePage. Like the paper's
+// memory node we account the region in 2 MiB huge pages, which is what lets
+// the RNIC cache the whole mapping table.
 package memnode
 
 import (
@@ -26,9 +27,8 @@ const HugePageSize = 2 << 20
 // Node is a memory node with one registered RDMA region.
 type Node struct {
 	mem      []byte
-	free     []uint64 // free page offsets, LIFO
-	next     uint64   // bump pointer for never-allocated pages
-	allocs   int64
+	free     []uint64     // freed page offsets, LIFO
+	next     uint64       // bump pointer for never-allocated pages
 	inUse    atomic.Int64 // atomic: the transport server reads it while serving
 	ProtKey  uint32       // RDMA protection key for the region (checked by the fabric)
 	ReadsSrv stats.Counter
@@ -66,21 +66,13 @@ func (n *Node) PagesInUse() int64 { return n.inUse.Load() }
 // Pages come back zeroed (freshly registered memory is zero; recycled
 // pages are scrubbed on free).
 func (n *Node) AllocPage() (uint64, error) {
-	n.allocs++
-	n.inUse.Add(1)
 	if k := len(n.free); k > 0 {
 		off := n.free[k-1]
 		n.free = n.free[:k-1]
+		n.inUse.Add(1)
 		return off, nil
 	}
-	if n.next+PageSize > uint64(len(n.mem)) {
-		n.allocs--
-		n.inUse.Add(-1)
-		return 0, fmt.Errorf("memnode: out of memory (%d bytes registered)", len(n.mem))
-	}
-	off := n.next
-	n.next += PageSize
-	return off, nil
+	return n.AllocRange(1)
 }
 
 // AllocRange reserves n contiguous pages (for a disaggregated region whose
@@ -94,14 +86,17 @@ func (n *Node) AllocRange(pages uint64) (uint64, error) {
 	}
 	off := n.next
 	n.next += size
-	n.allocs += int64(pages)
 	n.inUse.Add(int64(pages))
 	return off, nil
 }
 
-// FreePage returns a page to the free list and scrubs it.
+// FreePage returns a page to the free list and scrubs it. Freeing an
+// out-of-range or unaligned offset is a control-path programming error
+// and panics.
 func (n *Node) FreePage(off uint64) {
-	n.check(off, PageSize)
+	if err := n.CheckRange(off, PageSize); err != nil {
+		panic(err.Error())
+	}
 	if off%PageSize != 0 {
 		panic("memnode: FreePage of unaligned offset")
 	}
@@ -164,12 +159,4 @@ func (n *Node) CheckRange(off, length uint64) error {
 			off, length, size)
 	}
 	return nil
-}
-
-// check is the in-process guard for control-path programming errors
-// (FreePage of a bogus offset): those still panic.
-func (n *Node) check(off, length uint64) {
-	if err := n.CheckRange(off, length); err != nil {
-		panic(err.Error())
-	}
 }

@@ -84,13 +84,6 @@ func NewCore(p *sim.Proc, tbl *pagetable.Table, pool *dram.Pool, h FaultHandler)
 	}
 }
 
-// FlushTLB drops every cached translation on this core.
-func (c *Core) FlushTLB() {
-	for i := range c.tlb {
-		c.tlb[i].valid = false
-	}
-}
-
 // translate returns the frame backing vpn, faulting as needed.
 func (c *Core) translate(vpn pagetable.VPN, write bool) dram.FrameID {
 	c.Accesses.Inc()
@@ -134,12 +127,6 @@ func (c *Core) translate(vpn pagetable.VPN, write bool) dram.FrameID {
 		}
 		c.Handler.HandleFault(c, vpn, write)
 	}
-}
-
-// Touch translates vpn (as a read) without moving data — used by systems
-// and tests to force a page resident.
-func (c *Core) Touch(vpn pagetable.VPN, write bool) {
-	c.translate(vpn, write)
 }
 
 func lines(n int) sim.Time { return sim.Time((n + lineSz - 1) / lineSz) }

@@ -186,18 +186,14 @@ type histEntry struct {
 // so same-seed runs produce byte-identical pages.
 //
 // Counters map to `<family>_total`, gauges to `<family>` (last value),
-// histograms to `<family>_ns` summaries (p50/p99/p999 quantiles plus
-// _sum/_count), and bandwidth series to `<family>_bytes_total`.
+// and histograms to `<family>_ns` summaries (p50/p99/p999 quantiles plus
+// _sum/_count).
 func AppendMetrics(dst []byte, snap stats.Snapshot, rec *telemetry.Recorder) []byte {
 	var counters, gauges []row
 	var hists []histEntry
 	for _, c := range snap.Counters {
 		fam, lb := splitName(c.Name)
 		counters = append(counters, row{family: fam + "_total", labels: lb, value: c.N})
-	}
-	for _, b := range snap.Bandwidths {
-		fam, lb := splitName(b.Name)
-		counters = append(counters, row{family: fam + "_bytes_total", labels: lb, value: b.Total})
 	}
 	for _, g := range snap.Gauges {
 		fam, lb := splitName(g.Name)

@@ -73,9 +73,6 @@ func (j *Journal) Emit(at sim.Time, typ string, attrs ...Attr) {
 // Len returns the number of buffered events.
 func (j *Journal) Len() int { return len(j.events) }
 
-// Dropped returns how many events were overwritten.
-func (j *Journal) Dropped() int64 { return j.dropped }
-
 // Events returns the buffered events oldest-first.
 func (j *Journal) Events() []Event {
 	out := make([]Event, 0, len(j.events))
@@ -136,20 +133,6 @@ func (j *Journal) AppendJSONL(dst []byte) []byte {
 		dst = append(dst, '\n')
 	}
 	return dst
-}
-
-// Attr returns the named attribute's value rendered as a string (integer
-// attrs in decimal), or "" when absent — a convenience for tools.
-func (e Event) Attr(key string) string {
-	for _, a := range e.Attrs {
-		if a.Key == key {
-			if a.isStr {
-				return a.Str
-			}
-			return strconv.FormatInt(a.Val, 10)
-		}
-	}
-	return ""
 }
 
 // String renders the event human-readably: "12.3us type k=v k=v".

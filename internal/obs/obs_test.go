@@ -146,8 +146,8 @@ func TestJournalDropOldest(t *testing.T) {
 	if len(ev) != 2 || ev[0].Type != "b" || ev[1].Type != "c" {
 		t.Fatalf("events = %v, want [b c]", ev)
 	}
-	if j.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", j.Dropped())
+	if j.dropped != 1 {
+		t.Fatalf("dropped = %d, want 1", j.dropped)
 	}
 }
 
@@ -196,7 +196,7 @@ func TestSLOBurnAlertLifecycle(t *testing.T) {
 		m.Observe(id, now, 2*sim.Microsecond)
 		m.Evaluate(now)
 	}
-	alerts := m.Alerts()
+	alerts := m.alerts
 	last := alerts[len(alerts)-1]
 	if last.Firing {
 		t.Fatalf("alert still firing after recovery: %+v", last)

@@ -249,13 +249,6 @@ func (m *Monitor) Evaluate(now sim.Time) {
 	m.Firing.Set(firing)
 }
 
-// Alerts returns a copy of the recorded alert transitions.
-func (m *Monitor) Alerts() []Alert {
-	out := make([]Alert, len(m.alerts))
-	copy(out, m.alerts)
-	return out
-}
-
 // FirstRaise returns the time of the first raised alert for the named
 // objective (any rule), or false if it never fired.
 func (m *Monitor) FirstRaise(objective string) (sim.Time, bool) {

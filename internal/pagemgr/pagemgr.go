@@ -46,16 +46,6 @@ type EvictionGuide interface {
 // beyond it (§6.3).
 const MaxVectorSegs = 3
 
-// HugeRegions maps pages that live inside a 2 MB huge region to their
-// write-back sub-page (the 32 KiB dirty-tracking granule). The batched
-// cleaner expands a dirty page it finds into the whole sub-span — the
-// contiguous pages coalesce into one vectored write — instead of writing
-// pages back one at a time. Implemented by core.System for regions mapped
-// with MmapDDCHuge; ok=false means the page is ordinarily mapped.
-type HugeRegions interface {
-	SubSpan(vpn pagetable.VPN) (start pagetable.VPN, pages int, ok bool)
-}
-
 // Config tunes the page manager.
 type Config struct {
 	LowWater      int      // wake the reclaimer below this many free frames
@@ -109,11 +99,6 @@ type Manager struct {
 
 	// Guide, when non-nil, enables guided paging.
 	Guide EvictionGuide
-
-	// Huge, when non-nil, resolves 2 MB huge-page regions: the batched
-	// cleaner writes such pages back a 32 KiB sub-span at a time (see
-	// HugeRegions). Wired by core.System on the first MmapDDCHuge call.
-	Huge HugeRegions
 
 	// Batch enables doorbell-batched write-backs: the cleaner sweeps its
 	// dirty set first, groups targets by queue pair (one per memory node,
@@ -228,7 +213,6 @@ type wbScratch struct {
 	owner []int // parallel to segs: index into items
 	reqs  []fabric.Req
 	ops   []*fabric.Op
-	spans []pagetable.VPN // huge sub-span starts already collected this pass
 }
 
 // wbItem is one dirty page picked up by a batched sweep, with everything
@@ -548,7 +532,6 @@ func (m *Manager) cleanPassBatched(p *sim.Proc, shard int) {
 	t0 := p.Now()
 	sc := m.cleanScFor(shard)
 	sc.items = sc.items[:0]
-	sc.spans = sc.spans[:0]
 	m.Pool.WalkShard(shard, func(id dram.FrameID, f *dram.Frame) bool {
 		p.Advance(m.Cfg.ScanCost)
 		if len(sc.items) >= m.Cfg.CleanerBatch {
@@ -585,12 +568,6 @@ func (m *Manager) cleanPassBatched(p *sim.Proc, shard int) {
 // page with no reachable write target is counted failed immediately and
 // stays dirty.
 func (m *Manager) collectItem(sc *wbScratch, id dram.FrameID, vpn pagetable.VPN, pte pagetable.PTE) {
-	if m.Huge != nil {
-		if start, pages, ok := m.Huge.SubSpan(vpn); ok {
-			m.collectSpan(sc, start, pages)
-			return
-		}
-	}
 	tgt, ok := m.RemoteOf(vpn)
 	if !ok {
 		m.WriteFails.Inc()
@@ -603,42 +580,6 @@ func (m *Manager) collectItem(sc *wbScratch, id dram.FrameID, vpn pagetable.VPN,
 		}
 	}
 	sc.items = append(sc.items, it)
-}
-
-// collectSpan collects a huge region's whole 32 KiB write-back sub-span:
-// every resident, unpinned page of it — clean neighbours included, so the
-// span's remote offsets stay contiguous and Coalesce folds them into one
-// vectored write (a clean page's rewrite is idempotent; the contiguity is
-// the win). Sub-page dirty granularity is exactly this routine: one dirty
-// bit anywhere in the 32 KiB granule moves the granule, never the whole
-// 2 MB region. Spans dedup within the pass so a sweep that sees several
-// dirty pages of one granule writes it back once.
-func (m *Manager) collectSpan(sc *wbScratch, start pagetable.VPN, pages int) {
-	for _, s := range sc.spans {
-		if s == start {
-			return
-		}
-	}
-	sc.spans = append(sc.spans, start)
-	for i := 0; i < pages; i++ {
-		vpn := start + pagetable.VPN(i)
-		pte := m.Table.Lookup(vpn)
-		if pte.Tag() != pagetable.TagLocal {
-			continue
-		}
-		id := dram.FrameID(pte.Frame())
-		if m.Pool.Meta(id).Pinned {
-			continue
-		}
-		tgt, ok := m.RemoteOf(vpn)
-		if !ok {
-			if pte.Dirty() {
-				m.WriteFails.Inc()
-			}
-			continue
-		}
-		sc.items = append(sc.items, wbItem{id: id, vpn: vpn, pte: pte, tgt: tgt})
-	}
 }
 
 // flushBatch posts every collected page to every one of its replica
@@ -928,7 +869,6 @@ func (m *Manager) reclaimStep(p *sim.Proc, shard int) bool {
 func (m *Manager) reclaimCleanBatched(p *sim.Proc, shard int) bool {
 	sc := m.reclaimScFor(shard)
 	sc.items = sc.items[:0]
-	sc.spans = sc.spans[:0]
 	m.Pool.WalkShard(shard, func(id dram.FrameID, f *dram.Frame) bool {
 		if len(sc.items) >= 32 {
 			return false

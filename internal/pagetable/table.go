@@ -118,8 +118,7 @@ func (t *Table) peek(v VPN) *PTE {
 }
 
 // Range calls fn with a pointer to each mapped (non-invalid) PTE in
-// [start, end). Used by the cleaner and the PTE hit tracker. Iteration
-// order is ascending VPN. fn may mutate the PTE in place; returning false
+// [start, end). Iteration order is ascending VPN. fn may mutate the PTE in place; returning false
 // stops the scan.
 func (t *Table) Range(start, end VPN, fn func(v VPN, e *PTE) bool) {
 	for v := start; v < end; {

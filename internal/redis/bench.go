@@ -2,7 +2,6 @@ package redis
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/rand"
 
 	"dilos/internal/sim"
@@ -149,9 +148,4 @@ func SizeFixed(n int) func(int) int { return func(int) int { return n } }
 // SizeMixed returns the Facebook-photo mix assignment.
 func SizeMixed() func(int) int {
 	return func(i int) int { return MixedSizes[i%len(MixedSizes)] }
-}
-
-func (r GETResult) String() string {
-	return fmt.Sprintf("GET: %d ops in %v (%.0f ops/s, p99=%v)",
-		r.Queries, r.Elapsed, r.ThroughputOps(), r.Latency.P99())
 }

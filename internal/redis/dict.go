@@ -42,9 +42,6 @@ func (d *Dict) zeroBuckets(addr, n uint64) {
 	}
 }
 
-// Len returns the number of keys.
-func (d *Dict) Len() uint64 { return d.count }
-
 // hash is FNV-1a over the key (host-side key bytes; cost charged per word).
 func (d *Dict) hash(key []byte) uint64 {
 	h := uint64(14695981039346656037)

@@ -16,8 +16,6 @@
 package redis
 
 import (
-	"fmt"
-
 	"dilos/internal/dalloc"
 	"dilos/internal/sim"
 	"dilos/internal/space"
@@ -63,9 +61,6 @@ func NewServer(sp space.Space) *Server {
 // Allocator exposes the guided allocator (the eviction guide for §4.4).
 func (s *Server) Allocator() *dalloc.Allocator { return s.alloc }
 
-// Dict exposes the main keyspace dict.
-func (s *Server) Dict() *Dict { return s.dict }
-
 // --- SDS ---
 
 const sdsHeader = 8
@@ -79,30 +74,12 @@ func (s *Server) NewSDS(val []byte) uint64 {
 	return addr
 }
 
-// SDSLen reads an SDS length.
-func (s *Server) SDSLen(addr uint64) uint32 { return s.sp.LoadU32(addr) }
-
 // SDSRead copies an SDS body into a host buffer.
 func (s *Server) SDSRead(addr uint64) []byte {
 	n := s.sp.LoadU32(addr)
 	out := make([]byte, n)
 	s.sp.Load(addr+sdsHeader, out)
 	return out
-}
-
-// SDSEqual compares an SDS with a host key (reading through the space).
-func (s *Server) SDSEqual(addr uint64, key []byte) bool {
-	if s.sp.LoadU32(addr) != uint32(len(key)) {
-		return false
-	}
-	buf := make([]byte, len(key))
-	s.sp.Load(addr+sdsHeader, buf)
-	for i := range key {
-		if buf[i] != key[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // FreeSDS releases an SDS.
@@ -170,17 +147,4 @@ func (s *Server) LRange(key []byte, start, stop int) [][]byte {
 	}
 	ql := s.openQuicklist(addr)
 	return ql.Range(start, stop, s.OnLRangeStart, s.OnLRangeNode, s.OnLRangeEnd)
-}
-
-// LLen returns the list length.
-func (s *Server) LLen(key []byte) uint64 {
-	addr, ok := s.dict.Find(key)
-	if !ok {
-		return 0
-	}
-	return s.openQuicklist(addr).Len()
-}
-
-func (s *Server) String() string {
-	return fmt.Sprintf("redis: keys=%d allocs=%d", s.dict.Len(), s.alloc.Allocs)
 }

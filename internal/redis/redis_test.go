@@ -46,8 +46,8 @@ func TestSetOverwrite(t *testing.T) {
 	if got := srv.Get([]byte("k")); !bytes.Equal(got, []byte("v2-longer-value")) {
 		t.Fatalf("got %q", got)
 	}
-	if srv.Dict().Len() != 1 {
-		t.Fatalf("dict len = %d", srv.Dict().Len())
+	if srv.dict.count != 1 {
+		t.Fatalf("dict len = %d", srv.dict.count)
 	}
 }
 
@@ -57,8 +57,8 @@ func TestDictGrowth(t *testing.T) {
 	for i := 0; i < n; i++ {
 		srv.Set(KeyOf(i), valueOf(i, 32))
 	}
-	if srv.Dict().Len() != n {
-		t.Fatalf("len = %d", srv.Dict().Len())
+	if srv.dict.count != n {
+		t.Fatalf("len = %d", srv.dict.count)
 	}
 	for i := 0; i < n; i++ {
 		if got := srv.Get(KeyOf(i)); !bytes.Equal(got, valueOf(i, 32)) {
@@ -95,8 +95,8 @@ func TestDictVsMapRandomOps(t *testing.T) {
 				delete(ref, string(k))
 			}
 		}
-		if int(srv.Dict().Len()) != len(ref) {
-			t.Fatalf("seed %d: len %d vs %d", seed, srv.Dict().Len(), len(ref))
+		if int(srv.dict.count) != len(ref) {
+			t.Fatalf("seed %d: len %d vs %d", seed, srv.dict.count, len(ref))
 		}
 	}
 }
@@ -108,8 +108,8 @@ func TestQuicklistPushRange(t *testing.T) {
 	for i := 0; i < n; i++ {
 		srv.RPush(key, []byte(fmt.Sprintf("elem-%04d", i)))
 	}
-	if srv.LLen(key) != n {
-		t.Fatalf("llen = %d", srv.LLen(key))
+	if all := srv.LRange(key, 0, -1); len(all) != n {
+		t.Fatalf("list holds %d elements, want %d", len(all), n)
 	}
 	out := srv.LRange(key, 0, 99)
 	if len(out) != 100 {
@@ -138,7 +138,7 @@ func TestQuicklistSpansNodes(t *testing.T) {
 	for i := 0; i < 50; i++ { // 50*516 > zlMaxBytes: multiple nodes
 		srv.RPush(key, big)
 	}
-	addr, _ := srv.Dict().Find(key)
+	addr, _ := srv.dict.Find(key)
 	ql := srv.openQuicklist(addr)
 	if ql.head() == ql.tail() {
 		t.Fatal("expected multiple quicklist nodes")

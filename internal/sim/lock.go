@@ -34,20 +34,6 @@ func (l *Lock) Acquire(p *Proc) {
 	}
 }
 
-// TryAcquire takes the lock iff it is free right now, without blocking.
-// On success the caller's clock is advanced past the previous owner's
-// release like Acquire.
-func (l *Lock) TryAcquire(p *Proc) bool {
-	if l.held {
-		return false
-	}
-	l.held = true
-	if d := l.freeAt - p.Now(); d > 0 {
-		p.Advance(d)
-	}
-	return true
-}
-
 // Release frees the lock and wakes one waiter (FIFO). Must be called by
 // the current owner.
 func (l *Lock) Release(p *Proc) {
@@ -60,6 +46,3 @@ func (l *Lock) Release(p *Proc) {
 	}
 	l.w.WakeOne(p.Now())
 }
-
-// Held reports whether the lock is currently taken.
-func (l *Lock) Held() bool { return l.held }

@@ -90,32 +90,26 @@ type Proc struct {
 	fn       func(*Proc)
 }
 
-// Go registers a new process. If the engine is already running, the process
-// starts at the spawning caller's discretion (start time = startAt). Procs
-// created before Run starts begin at time 0 unless startAt says otherwise.
+// Go registers a new process. Its clock starts at time 0, also when the
+// engine is already running: a process spawned mid-run that must not act
+// in its spawner's past starts with WaitUntil.
 func (e *Engine) Go(name string, fn func(*Proc)) *Proc {
-	return e.spawn(name, fn, false, 0)
-}
-
-// GoAt registers a process whose first instruction executes at startAt.
-func (e *Engine) GoAt(name string, startAt Time, fn func(*Proc)) *Proc {
-	return e.spawn(name, fn, false, startAt)
+	return e.spawn(name, fn, false)
 }
 
 // GoDaemon registers a background process. Daemons do not keep the engine
 // alive: Run returns once every non-daemon process has finished, even if
 // daemons are still sleeping.
 func (e *Engine) GoDaemon(name string, fn func(*Proc)) *Proc {
-	return e.spawn(name, fn, true, 0)
+	return e.spawn(name, fn, true)
 }
 
-func (e *Engine) spawn(name string, fn func(*Proc), daemon bool, startAt Time) *Proc {
+func (e *Engine) spawn(name string, fn func(*Proc), daemon bool) *Proc {
 	p := &Proc{
 		eng:    e,
 		id:     e.nextID,
 		name:   name,
 		daemon: daemon,
-		now:    startAt,
 		resume: make(chan struct{}),
 		fn:     fn,
 		index:  -1,
@@ -125,7 +119,6 @@ func (e *Engine) spawn(name string, fn func(*Proc), daemon bool, startAt Time) *
 	if !daemon {
 		e.live++
 	}
-	p.wakeAt = startAt
 	heap.Push(&e.queue, p)
 	return p
 }
@@ -201,12 +194,6 @@ func (p *Proc) yield() {
 // Name returns the process name (for diagnostics).
 func (p *Proc) Name() string { return p.name }
 
-// ID returns the engine-unique process id.
-func (p *Proc) ID() int { return p.id }
-
-// Engine returns the owning engine.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Now returns the process-local virtual time.
 func (p *Proc) Now() Time { return p.now }
 
@@ -227,10 +214,6 @@ func (p *Proc) Sleep(d Time) {
 	}
 	p.WaitUntil(p.now + d)
 }
-
-// Yield re-queues the process at its current time and lets anything with an
-// earlier (or equal, lower-id) wake time run first.
-func (p *Proc) Yield() { p.WaitUntil(p.now) }
 
 // WaitUntil blocks the process until virtual time t (no-op if t is in the
 // process's past — but it still yields, keeping scheduling fair).

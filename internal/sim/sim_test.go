@@ -92,7 +92,7 @@ func TestWaiterDoesNotRewindClock(t *testing.T) {
 	})
 	e.Go("waker", func(p *Proc) {
 		p.Sleep(500)
-		for w.Empty() {
+		for w.Len() == 0 {
 			p.Sleep(100)
 		}
 		w.Wake(p.Now())
@@ -126,43 +126,6 @@ func TestWakeOneIsFIFO(t *testing.T) {
 	if fmt.Sprint(order) != "[0 1 2]" {
 		t.Fatalf("order = %v", order)
 	}
-}
-
-func TestEventBeforeAndAfterFire(t *testing.T) {
-	e := New()
-	ev := &Event{}
-	var earlyAt, lateAt Time
-	e.Go("early", func(p *Proc) {
-		ev.Wait(p) // waits for fire at t=100
-		earlyAt = p.Now()
-	})
-	e.Go("firer", func(p *Proc) {
-		p.Sleep(100)
-		ev.Fire(p.Now())
-	})
-	e.Go("late", func(p *Proc) {
-		p.Sleep(300)
-		ev.Wait(p) // already fired; no wait, no rewind
-		lateAt = p.Now()
-	})
-	e.Run()
-	if earlyAt != 100 {
-		t.Fatalf("earlyAt = %v, want 100", earlyAt)
-	}
-	if lateAt != 300 {
-		t.Fatalf("lateAt = %v, want 300", lateAt)
-	}
-}
-
-func TestEventDoubleFirePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on double fire")
-		}
-	}()
-	ev := &Event{}
-	ev.Fire(1)
-	ev.Fire(2)
 }
 
 func TestDaemonDoesNotBlockExit(t *testing.T) {
@@ -201,7 +164,9 @@ func TestSpawnDuringRun(t *testing.T) {
 	var childEnd Time
 	e.Go("parent", func(p *Proc) {
 		p.Sleep(100)
-		e.GoAt("child", p.Now(), func(c *Proc) {
+		at := p.Now()
+		e.Go("child", func(c *Proc) {
+			c.WaitUntil(at)
 			c.Sleep(50)
 			childEnd = c.Now()
 		})

@@ -18,9 +18,6 @@ func (w *Waiter) Wait(p *Proc) {
 	p.yield()
 }
 
-// Empty reports whether no process is parked on w.
-func (w *Waiter) Empty() bool { return len(w.waiting) == 0 }
-
 // Len reports how many processes are parked on w.
 func (w *Waiter) Len() int { return len(w.waiting) }
 
@@ -52,43 +49,4 @@ func release(q *Proc, at Time) {
 	}
 	q.wakeAt = q.now
 	heap.Push(&q.eng.queue, q)
-}
-
-// Event is a one-shot level-triggered flag in virtual time: once fired it
-// stays fired, and waiting on a fired event returns immediately (advancing
-// the waiter's clock to the fire time). It is the natural shape for "this
-// RDMA op completed".
-type Event struct {
-	fired  bool
-	at     Time
-	waiter Waiter
-}
-
-// Fired reports whether Fire has been called.
-func (ev *Event) Fired() bool { return ev.fired }
-
-// FiredAt returns the virtual time of the Fire call (zero if not fired).
-func (ev *Event) FiredAt() Time { return ev.at }
-
-// Fire marks the event complete as of time `at` and wakes all waiters.
-// Firing twice is a bug.
-func (ev *Event) Fire(at Time) {
-	if ev.fired {
-		panic("sim: Event fired twice")
-	}
-	ev.fired = true
-	ev.at = at
-	ev.waiter.Wake(at)
-}
-
-// Wait blocks p until the event fires. If it already fired, p's clock is
-// advanced to the fire time (if that is in p's future) without yielding.
-func (ev *Event) Wait(p *Proc) {
-	if ev.fired {
-		if ev.at > p.now {
-			p.now = ev.at
-		}
-		return
-	}
-	ev.waiter.Wait(p)
 }

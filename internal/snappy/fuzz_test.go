@@ -17,8 +17,8 @@ func FuzzRoundTrip(f *testing.F) {
 		if len(src) > 1<<20 {
 			t.Skip()
 		}
-		comp := CompressBytes(src)
-		got := DecompressBytes(comp, len(src))
+		comp := compressBytes(src)
+		got := decompressBytes(comp, len(src))
 		if !bytes.Equal(got, src) {
 			t.Fatalf("round trip failed for %d bytes", len(src))
 		}

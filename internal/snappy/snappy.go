@@ -202,28 +202,3 @@ func decompressBody(sp space.Space, addr uint64, maxIn uint64, blockLen uint64, 
 	}
 	return dst, in
 }
-
-// CompressBytes / DecompressBytes are host-side convenience wrappers (used
-// by property tests and by data-set preparation).
-func CompressBytes(src []byte) []byte {
-	sp := space.NewLocal(uint64(len(src))*2 + 1<<20)
-	a := sp.Malloc(uint64(len(src)) + 8)
-	b := sp.Malloc(uint64(len(src))*2 + 64)
-	sp.Store(a, src)
-	n := Compress(sp, a, uint64(len(src)), b)
-	out := make([]byte, n)
-	sp.Load(b, out)
-	return out
-}
-
-// DecompressBytes reverses CompressBytes.
-func DecompressBytes(comp []byte, origLen int) []byte {
-	sp := space.NewLocal(uint64(len(comp)+origLen) + 1<<20)
-	a := sp.Malloc(uint64(len(comp)) + 8)
-	b := sp.Malloc(uint64(origLen) + 64)
-	sp.Store(a, comp)
-	n := Decompress(sp, a, uint64(len(comp)), b)
-	out := make([]byte, n)
-	sp.Load(b, out)
-	return out
-}

@@ -12,6 +12,31 @@ import (
 	"dilos/internal/space"
 )
 
+// compressBytes / decompressBytes run Compress and Decompress over a
+// host-side space.Local, for the property and fuzz tests.
+func compressBytes(src []byte) []byte {
+	sp := space.NewLocal(uint64(len(src))*2 + 1<<20)
+	a := sp.Malloc(uint64(len(src)) + 8)
+	b := sp.Malloc(uint64(len(src))*2 + 64)
+	sp.Store(a, src)
+	n := Compress(sp, a, uint64(len(src)), b)
+	out := make([]byte, n)
+	sp.Load(b, out)
+	return out
+}
+
+// decompressBytes reverses compressBytes.
+func decompressBytes(comp []byte, origLen int) []byte {
+	sp := space.NewLocal(uint64(len(comp)+origLen) + 1<<20)
+	a := sp.Malloc(uint64(len(comp)) + 8)
+	b := sp.Malloc(uint64(origLen) + 64)
+	sp.Store(a, comp)
+	n := Decompress(sp, a, uint64(len(comp)), b)
+	out := make([]byte, n)
+	sp.Load(b, out)
+	return out
+}
+
 func TestRoundTripSimple(t *testing.T) {
 	cases := [][]byte{
 		nil,
@@ -21,8 +46,8 @@ func TestRoundTripSimple(t *testing.T) {
 		bytes.Repeat([]byte{0}, 200000),
 	}
 	for i, src := range cases {
-		comp := CompressBytes(src)
-		got := DecompressBytes(comp, len(src))
+		comp := compressBytes(src)
+		got := decompressBytes(comp, len(src))
 		if !bytes.Equal(got, src) {
 			t.Fatalf("case %d: round trip failed", i)
 		}
@@ -31,7 +56,7 @@ func TestRoundTripSimple(t *testing.T) {
 
 func TestCompressionRatioOnRedundantData(t *testing.T) {
 	src := bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog. "), 5000)
-	comp := CompressBytes(src)
+	comp := compressBytes(src)
 	if len(comp)*3 > len(src) {
 		t.Fatalf("ratio too poor on redundant text: %d -> %d", len(src), len(comp))
 	}
@@ -40,11 +65,11 @@ func TestCompressionRatioOnRedundantData(t *testing.T) {
 func TestIncompressibleDataExpandsBoundedly(t *testing.T) {
 	src := make([]byte, 100000)
 	rand.New(rand.NewSource(1)).Read(src)
-	comp := CompressBytes(src)
+	comp := compressBytes(src)
 	if len(comp) > len(src)+len(src)/64+16 {
 		t.Fatalf("expansion too large: %d -> %d", len(src), len(comp))
 	}
-	if !bytes.Equal(DecompressBytes(comp, len(src)), src) {
+	if !bytes.Equal(decompressBytes(comp, len(src)), src) {
 		t.Fatal("round trip failed")
 	}
 }
@@ -52,8 +77,8 @@ func TestIncompressibleDataExpandsBoundedly(t *testing.T) {
 // Property (DESIGN.md §6): decompress(compress(x)) == x for arbitrary x.
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(src []byte) bool {
-		comp := CompressBytes(src)
-		return bytes.Equal(DecompressBytes(comp, len(src)), src)
+		comp := compressBytes(src)
+		return bytes.Equal(decompressBytes(comp, len(src)), src)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -74,8 +99,8 @@ func TestQuickRoundTripCompressible(t *testing.T) {
 		for len(src) < 150000 {
 			src = append(src, dict[rng.Intn(len(dict))]...)
 		}
-		comp := CompressBytes(src)
-		return bytes.Equal(DecompressBytes(comp, len(src)), src)
+		comp := compressBytes(src)
+		return bytes.Equal(decompressBytes(comp, len(src)), src)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -92,8 +117,8 @@ func TestMultiBlockStreams(t *testing.T) {
 			src[j] = v
 		}
 	}
-	comp := CompressBytes(src)
-	if !bytes.Equal(DecompressBytes(comp, len(src)), src) {
+	comp := compressBytes(src)
+	if !bytes.Equal(decompressBytes(comp, len(src)), src) {
 		t.Fatal("multi-block round trip failed")
 	}
 }

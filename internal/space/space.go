@@ -22,7 +22,6 @@ type Space interface {
 	LoadU32(addr uint64) uint32
 	StoreU32(addr uint64, v uint32)
 	LoadU8(addr uint64) byte
-	StoreU8(addr uint64, v byte)
 	// Malloc reserves n bytes of zeroed memory and returns its address.
 	Malloc(n uint64) uint64
 	// Free releases a Malloc'd range.
@@ -79,9 +78,6 @@ func (l *Local) StoreU32(addr uint64, v uint32) {
 
 // LoadU8 implements Space.
 func (l *Local) LoadU8(addr uint64) byte { return l.Mem[addr] }
-
-// StoreU8 implements Space.
-func (l *Local) StoreU8(addr uint64, v byte) { l.Mem[addr] = v }
 
 // Malloc implements Space with a bump allocator (addresses start at 4096
 // so that 0 can serve as a nil pointer).

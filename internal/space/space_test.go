@@ -23,7 +23,7 @@ func TestLocalRoundTrip(t *testing.T) {
 	if l.LoadU32(b) != 0xdeadbeef {
 		t.Fatal("u32 round trip")
 	}
-	l.StoreU8(b+4, 0x7e)
+	l.Store(b+4, []byte{0x7e})
 	if l.LoadU8(b+4) != 0x7e {
 		t.Fatal("u8 round trip")
 	}

@@ -8,7 +8,7 @@ import (
 
 func TestGaugeSetAddEnvelope(t *testing.T) {
 	g := &Gauge{Name: "g"}
-	if g.Last() != 0 || g.Min() != 0 || g.Max() != 0 || g.Samples() != 0 {
+	if g.Last() != 0 || g.Min() != 0 || g.Max() != 0 || g.n != 0 {
 		t.Fatalf("fresh gauge not zero: %v", g)
 	}
 	g.Set(5)
@@ -16,13 +16,13 @@ func TestGaugeSetAddEnvelope(t *testing.T) {
 		t.Fatalf("after Set(5): %v", g)
 	}
 	g.Set(3)
-	g.Add(10) // 13
-	g.Add(-14)
+	g.Set(g.Last() + 10) // 13
+	g.Set(g.Last() - 14)
 	if g.Last() != -1 || g.Min() != -1 || g.Max() != 13 {
 		t.Fatalf("envelope wrong: %v", g)
 	}
-	if g.Samples() != 4 {
-		t.Fatalf("samples = %d, want 4", g.Samples())
+	if g.n != 4 {
+		t.Fatalf("samples = %d, want 4", g.n)
 	}
 }
 

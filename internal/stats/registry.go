@@ -6,8 +6,8 @@ import (
 )
 
 // Registry is the single observability surface of a System: every
-// counter, histogram, and bandwidth series registers here at
-// construction under its stable name (e.g. "dilos.major_faults"), and
+// counter, gauge and histogram registers here at construction under its
+// stable name (e.g. "dilos.major_faults"), and
 // Snapshot() serialises all of them at once — so new experiments never
 // hand-plumb stats again. Names must be unique; Register* panics on a
 // duplicate, which catches wiring mistakes at boot rather than as
@@ -16,7 +16,6 @@ type Registry struct {
 	counters   []*Counter
 	gauges     []*Gauge
 	histograms []*Histogram
-	bandwidths []*Bandwidth
 	names      map[string]bool
 }
 
@@ -56,13 +55,6 @@ func (r *Registry) RegisterHistogram(h *Histogram) *Histogram {
 	return h
 }
 
-// RegisterBandwidth adds a bandwidth series to the registry and returns it.
-func (r *Registry) RegisterBandwidth(b *Bandwidth) *Bandwidth {
-	r.claim("bandwidth", b.Name)
-	r.bandwidths = append(r.bandwidths, b)
-	return b
-}
-
 // Snapshot captures the current value of every registered metric, sorted
 // by name within each kind. The result is JSON-serialisable and
 // detached from the live metrics.
@@ -83,16 +75,8 @@ func (r *Registry) Snapshot() Snapshot {
 			MaxNs:  int64(h.Max()),
 		})
 	}
-	for _, b := range r.bandwidths {
-		bs := BandwidthSnap{Name: b.Name, Total: b.Total(), BucketNs: int64(b.Bucket)}
-		for _, p := range b.Series() {
-			bs.Series = append(bs.Series, BandwidthPointSnap{AtNs: int64(p.At), BytesPerSec: p.BytesPerSec})
-		}
-		s.Bandwidths = append(s.Bandwidths, bs)
-	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
-	sort.Slice(s.Bandwidths, func(i, j int) bool { return s.Bandwidths[i].Name < s.Bandwidths[j].Name })
 	return s
 }
 
@@ -118,7 +102,6 @@ type Snapshot struct {
 	Counters   []CounterSnap   `json:"counters,omitempty"`
 	Gauges     []GaugeSnap     `json:"gauges,omitempty"`
 	Histograms []HistogramSnap `json:"histograms,omitempty"`
-	Bandwidths []BandwidthSnap `json:"bandwidths,omitempty"`
 }
 
 // CounterSnap is one counter's snapshot.
@@ -146,46 +129,28 @@ type HistogramSnap struct {
 	MaxNs  int64  `json:"max_ns"`
 }
 
-// BandwidthSnap is one bandwidth series' snapshot.
-type BandwidthSnap struct {
-	Name     string               `json:"name"`
-	Total    int64                `json:"total_bytes"`
-	BucketNs int64                `json:"bucket_ns"`
-	Series   []BandwidthPointSnap `json:"series,omitempty"`
-}
-
-// BandwidthPointSnap is one point of a bandwidth series snapshot.
-type BandwidthPointSnap struct {
-	AtNs        int64   `json:"at_ns"`
-	BytesPerSec float64 `json:"bytes_per_sec"`
-}
-
 // Counter looks up a snapshotted counter by name (0, false if absent).
 func (s Snapshot) Counter(name string) (int64, bool) {
-	for _, c := range s.Counters {
-		if c.Name == name {
-			return c.N, true
-		}
-	}
-	return 0, false
+	c, ok := lookup(s.Counters, func(c CounterSnap) bool { return c.Name == name })
+	return c.N, ok
 }
 
 // Gauge looks up a snapshotted gauge by name.
 func (s Snapshot) Gauge(name string) (GaugeSnap, bool) {
-	for _, g := range s.Gauges {
-		if g.Name == name {
-			return g, true
-		}
-	}
-	return GaugeSnap{}, false
+	return lookup(s.Gauges, func(g GaugeSnap) bool { return g.Name == name })
 }
 
 // Histogram looks up a snapshotted histogram by name.
 func (s Snapshot) Histogram(name string) (HistogramSnap, bool) {
-	for _, h := range s.Histograms {
-		if h.Name == name {
-			return h, true
+	return lookup(s.Histograms, func(h HistogramSnap) bool { return h.Name == name })
+}
+
+func lookup[T any](xs []T, match func(T) bool) (T, bool) {
+	for _, x := range xs {
+		if match(x) {
+			return x, true
 		}
 	}
-	return HistogramSnap{}, false
+	var zero T
+	return zero, false
 }

@@ -11,14 +11,11 @@ func TestRegistrySnapshot(t *testing.T) {
 	r := NewRegistry()
 	c := r.RegisterCounter(&Counter{Name: "sys.events"})
 	h := r.RegisterHistogram(NewHistogram("sys.latency"))
-	b := r.RegisterBandwidth(NewBandwidth("sys.rx", sim.Second))
 
 	c.Add(7)
 	for i := 1; i <= 100; i++ {
 		h.Record(sim.Time(i) * sim.Microsecond)
 	}
-	b.Add(0, 1000)
-	b.Add(sim.Second+1, 500)
 
 	s := r.Snapshot()
 	if n, ok := s.Counter("sys.events"); !ok || n != 7 {
@@ -30,9 +27,6 @@ func TestRegistrySnapshot(t *testing.T) {
 	}
 	if hs.P99Ns != int64(99*sim.Microsecond) || hs.MaxNs != int64(100*sim.Microsecond) {
 		t.Fatalf("histogram percentiles wrong: p99=%d max=%d", hs.P99Ns, hs.MaxNs)
-	}
-	if len(s.Bandwidths) != 1 || s.Bandwidths[0].Total != 1500 || len(s.Bandwidths[0].Series) != 2 {
-		t.Fatalf("bandwidth snapshot wrong: %+v", s.Bandwidths)
 	}
 
 	// Snapshots are detached: later mutation must not bleed in.

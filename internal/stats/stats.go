@@ -49,9 +49,6 @@ func (g *Gauge) Set(v int64) {
 	g.n++
 }
 
-// Add shifts the current level by d.
-func (g *Gauge) Add(d int64) { g.Set(g.last + d) }
-
 // Last returns the most recently set value.
 func (g *Gauge) Last() int64 { return g.last }
 
@@ -60,9 +57,6 @@ func (g *Gauge) Min() int64 { return g.min }
 
 // Max returns the largest value ever set (0 before the first Set).
 func (g *Gauge) Max() int64 { return g.max }
-
-// Samples returns how many times the gauge has been set.
-func (g *Gauge) Samples() int64 { return g.n }
 
 func (g *Gauge) String() string {
 	return fmt.Sprintf("%s=%d [%d..%d]", g.Name, g.last, g.min, g.max)
@@ -96,9 +90,6 @@ func (h *Histogram) Record(v sim.Time) {
 
 // Count returns the number of samples.
 func (h *Histogram) Count() int { return len(h.samples) }
-
-// Sum returns the total of all samples.
-func (h *Histogram) Sum() sim.Time { return h.sum }
 
 // Max returns the largest sample.
 func (h *Histogram) Max() sim.Time { return h.max }
@@ -188,9 +179,6 @@ func (b *Bandwidth) Add(at sim.Time, bytes int64) {
 
 // Total returns the total bytes recorded.
 func (b *Bandwidth) Total() int64 { return b.total }
-
-// Buckets returns the per-bucket byte counts (shared slice; do not mutate).
-func (b *Bandwidth) Buckets() []int64 { return b.buckets }
 
 // Series returns (bucket start time, bytes/sec) pairs for plotting.
 // The final bucket is almost always partial — the run ended at the last

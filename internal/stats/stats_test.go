@@ -64,7 +64,7 @@ func TestHistogramReset(t *testing.T) {
 	h := NewHistogram("lat")
 	h.Record(10)
 	h.Reset()
-	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 {
+	if h.Count() != 0 || h.sum != 0 || h.Max() != 0 {
 		t.Fatal("reset did not clear state")
 	}
 }
@@ -123,7 +123,7 @@ func TestBandwidthBuckets(t *testing.T) {
 	b.Add(999, 50)
 	b.Add(1000, 25)
 	b.Add(5500, 10)
-	bk := b.Buckets()
+	bk := b.buckets
 	if len(bk) != 6 {
 		t.Fatalf("len(buckets) = %d, want 6", len(bk))
 	}
@@ -155,7 +155,7 @@ func TestQuickBandwidthConservation(t *testing.T) {
 			b.Add(sim.Time(s.At), int64(s.Bytes))
 		}
 		var sum int64
-		for _, v := range b.Buckets() {
+		for _, v := range b.buckets {
 			sum += v
 		}
 		return sum == b.Total()

@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"dilos/internal/sim"
-	"dilos/internal/stats"
-)
+import "dilos/internal/stats"
 
 // FaultAnatomy aggregates every major-fault span in a recording into a
 // per-stage latency table — the live-run counterpart of the paper's
@@ -76,6 +73,3 @@ func (a Anatomy) Stage(name string) StageStat {
 	}
 	return StageStat{}
 }
-
-// Mean returns the total mean as sim.Time for formatting.
-func (a Anatomy) Mean() sim.Time { return sim.Time(a.MeanNs) }

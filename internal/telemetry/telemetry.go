@@ -137,9 +137,6 @@ type SamplePolicy struct {
 	KeepEvery int
 }
 
-// Active reports whether the policy rejects anything.
-func (p SamplePolicy) Active() bool { return p.KeepEvery > 1 && p.Threshold > 0 }
-
 // Recorder is the flight recorder: a set of named tracks (one per core,
 // one per daemon, one per fabric link), each a bounded drop-oldest ring.
 // The simulation is single-threaded by construction (procs hand off via
@@ -182,9 +179,6 @@ func (r *Recorder) Track(name string) int {
 // SetPolicy installs a tail-based sampling policy. Call before the run;
 // switching policies mid-recording only affects subsequent emissions.
 func (r *Recorder) SetPolicy(p SamplePolicy) { r.policy = p }
-
-// Policy returns the active sampling policy.
-func (r *Recorder) Policy() SamplePolicy { return r.policy }
 
 // Emit records a span on the given track, overwriting the oldest span if
 // the ring is full. Zero allocation, zero virtual time. Under an active

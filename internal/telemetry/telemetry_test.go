@@ -104,11 +104,14 @@ func TestTailSamplingPolicy(t *testing.T) {
 		t.Fatalf("tail spans retained = %d, want 5", tail)
 	}
 	// The zero policy keeps everything.
-	if (SamplePolicy{}).Active() {
-		t.Fatal("zero policy reports active")
+	all := NewRecorder(64)
+	at := all.Track("core0")
+	all.SetPolicy(SamplePolicy{})
+	for i := sim.Time(0); i < 10; i++ {
+		all.Emit(at, Span{Kind: KindMajorFault, Start: i * 10, End: i*10 + 1})
 	}
-	if !(SamplePolicy{Threshold: 1, KeepEvery: 2}).Active() {
-		t.Fatal("real policy reports inactive")
+	if n := len(all.Spans(at)); n != 10 {
+		t.Fatalf("zero policy kept %d of 10 spans", n)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 // FuzzLoad hardens the trace decoder against corrupt files.
 func FuzzLoad(f *testing.F) {
 	r := NewRecorder(0)
-	r.Record(1, 2, Major)
-	r.Record(5, 9, Write)
+	r.RecordOn(1, 2, Major, 0)
+	r.RecordOn(5, 9, Write, 0)
 	var seed bytes.Buffer
 	r.Save(&seed)
 	f.Add(seed.Bytes())

@@ -68,11 +68,6 @@ func NewRecorder(cap int) *Recorder {
 	return &Recorder{Cap: cap}
 }
 
-// Record appends an event attributed to core 0.
-func (r *Recorder) Record(at sim.Time, vpn pagetable.VPN, kind Kind) {
-	r.RecordOn(at, vpn, kind, 0)
-}
-
 // RecordOn appends an event attributed to the given core.
 func (r *Recorder) RecordOn(at sim.Time, vpn pagetable.VPN, kind Kind, core int) {
 	e := Event{At: at, VPN: vpn, Kind: kind, Core: core}

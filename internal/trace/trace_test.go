@@ -15,7 +15,7 @@ import (
 func TestRecorderOrderAndRing(t *testing.T) {
 	r := NewRecorder(4)
 	for i := 0; i < 6; i++ {
-		r.Record(sim.Time(i), pagetable.VPN(i), Major)
+		r.RecordOn(sim.Time(i), pagetable.VPN(i), Major, 0)
 	}
 	if r.Len() != 4 || r.Dropped() != 2 {
 		t.Fatalf("len=%d dropped=%d", r.Len(), r.Dropped())
@@ -32,12 +32,12 @@ func TestAnalyze(t *testing.T) {
 	r := NewRecorder(0)
 	// 10 sequential majors, then 5 stride-16 minors, then a hit.
 	for i := 0; i < 10; i++ {
-		r.Record(sim.Time(i), pagetable.VPN(100+i), Major)
+		r.RecordOn(sim.Time(i), pagetable.VPN(100+i), Major, 0)
 	}
 	for i := 0; i < 5; i++ {
-		r.Record(sim.Time(20+i), pagetable.VPN(200+16*i), Minor)
+		r.RecordOn(sim.Time(20+i), pagetable.VPN(200+16*i), Minor, 0)
 	}
-	r.Record(30, 500, Hit)
+	r.RecordOn(30, 500, Hit, 0)
 	st := r.Analyze()
 	if st.Counts[Major] != 10 || st.Counts[Minor] != 5 || st.Counts[Hit] != 1 {
 		t.Fatalf("counts = %v", st.Counts)

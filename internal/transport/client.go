@@ -104,15 +104,6 @@ func WithDeadline(d time.Duration) Option {
 	}
 }
 
-// WithDialTimeout bounds one dial attempt.
-func WithDialTimeout(d time.Duration) Option {
-	return func(c *Client) {
-		if d > 0 {
-			c.dialTimeout = d
-		}
-	}
-}
-
 // WithRedials caps consecutive failed dial attempts before the lane fails
 // its pending requests (their budgets usually expire first). 0 disables
 // reconnection entirely.
@@ -154,11 +145,10 @@ type Client struct {
 	addr string
 	pkey uint32
 
-	dialTimeout time.Duration
-	deadline    time.Duration
-	depth       int
-	laneCount   int
-	redials     int
+	deadline  time.Duration
+	depth     int
+	laneCount int
+	redials   int
 
 	brkThreshold int
 	brkCooldown  time.Duration
@@ -231,14 +221,13 @@ type lane struct {
 // so an unreachable daemon fails here; further lanes dial on first use.
 func Dial(addr string, pkey uint32, opts ...Option) (*Client, error) {
 	c := &Client{
-		addr:        addr,
-		pkey:        pkey,
-		dialTimeout: DefaultDialTimeout,
-		deadline:    DefaultDeadline,
-		depth:       32,
-		laneCount:   1,
-		redials:     DefaultRedials,
-		closedCh:    make(chan struct{}),
+		addr:      addr,
+		pkey:      pkey,
+		deadline:  DefaultDeadline,
+		depth:     32,
+		laneCount: 1,
+		redials:   DefaultRedials,
+		closedCh:  make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(c)
@@ -290,13 +279,10 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// Addr returns the daemon address this client targets.
-func (c *Client) Addr() string { return c.addr }
-
 // dial establishes the lane's connection and starts its reader.
 // Callers must not hold l.mu.
 func (l *lane) dial() error {
-	conn, err := net.DialTimeout("tcp", l.c.addr, l.c.dialTimeout)
+	conn, err := net.DialTimeout("tcp", l.c.addr, DefaultDialTimeout)
 	if err != nil {
 		return err
 	}
@@ -708,7 +694,7 @@ func (l *lane) redial() {
 
 		l.c.Stats.Redials.Add(1)
 		attempts++
-		conn, err := net.DialTimeout("tcp", l.c.addr, l.c.dialTimeout)
+		conn, err := net.DialTimeout("tcp", l.c.addr, DefaultDialTimeout)
 		if err == nil {
 			_, err = conn.Write(helloMagic[:])
 			if err != nil {

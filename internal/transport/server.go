@@ -30,9 +30,8 @@ const (
 // to one rejected at parse time, whose status byte is already decided).
 const statusExec = 0xFF
 
-// Server serves a memory node over TCP: protocol v2 (tagged, pipelined,
-// out-of-order completions) with a per-connection fallback to the legacy
-// v1 one-at-a-time framing. The region is guarded by a sharded lock — many
+// Server serves a memory node over TCP with protocol v2 (tagged, pipelined,
+// out-of-order completions). The region is guarded by a sharded lock — many
 // connections make progress concurrently as long as their segments land on
 // different shards — and allocation by a single small mutex (it is a
 // setup-path operation).
@@ -180,24 +179,16 @@ func (s *Server) dropConn(conn net.Conn) {
 	s.connMu.Unlock()
 }
 
-// handle sniffs the protocol version from the first byte: v2 connections
-// open with helloMagic, a v1 stream starts with an op byte.
+// handle serves one connection. It must open with helloMagic; any other
+// opening is closed unanswered.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 64<<10)
-	first, err := br.Peek(1)
-	if err != nil {
+	var hello [4]byte
+	if _, err := io.ReadFull(br, hello[:]); err != nil || hello != helloMagic {
 		return
 	}
-	if first[0] == helloMagic[0] {
-		var hello [4]byte
-		if _, err := io.ReadFull(br, hello[:]); err != nil || hello != helloMagic {
-			return
-		}
-		s.serveV2(conn, br)
-		return
-	}
-	s.serveV1(conn, br)
+	s.serveV2(conn, br)
 }
 
 // request is one parsed request plus its response frame, recycled through
@@ -534,42 +525,6 @@ func (s *Server) run(rq *request) byte {
 		return StatusOK
 	default:
 		return StatusBadOp
-	}
-}
-
-// serveV1 runs the legacy one-request-at-a-time framing for v1 clients:
-// [op u8][pkey u32][nsegs u16] requests answered by [status u8] responses
-// in order. The body parser, executor (minus the 9-byte v2 header the
-// response skips) and scratch reuse are shared with v2, so v1 connections
-// get the sharded locks, the drain status and the tolerant handling of
-// malformed requests for free.
-func (s *Server) serveV1(conn net.Conn, br *bufio.Reader) {
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	rq := &request{}
-	var hdr [7]byte
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return
-		}
-		rq.op = hdr[0]
-		rq.pkey = binary.LittleEndian.Uint32(hdr[1:5])
-		rq.tag = 0
-		rq.status = statusExec
-		rq.draining = s.draining.Load()
-		rq.segs = rq.segs[:0]
-		if rq.op == OpBatch { // v2-only frame on a v1 stream: protocol error
-			return
-		}
-		if err := s.readBody(br, rq, int(binary.LittleEndian.Uint16(hdr[5:7]))); err != nil {
-			return
-		}
-		s.execute(rq)
-		if _, err := bw.Write(rq.out[8:]); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
 	}
 }
 

@@ -9,9 +9,7 @@
 // Protocol v2 (see wire.go for the framing) is pipelined: one connection
 // carries many tagged in-flight requests with out-of-order completions,
 // doorbell batch frames, a PING health op and a DRAINING handshake for
-// graceful shutdown. Client is the pipelined v2 endpoint; V1Client keeps
-// the legacy one-request-at-a-time protocol, which Server still accepts
-// (it sniffs the version per connection).
+// graceful shutdown. Client is its endpoint; Server its memory-node side.
 package transport
 
 // Backing adapts a Client into the backing interface a DiLOS computing

@@ -189,7 +189,7 @@ func TestDeadServerSurfacesError(t *testing.T) {
 		}
 	}()
 	c, err := Dial(ln.Addr().String(), 0xbeef,
-		WithDialTimeout(200*time.Millisecond), WithDeadline(200*time.Millisecond), WithRedials(1))
+		WithDeadline(200*time.Millisecond), WithRedials(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestReconnectAfterConnectionDrop(t *testing.T) {
 		}
 	}()
 	c, err := Dial(ln.Addr().String(), 0xbeef,
-		WithDialTimeout(time.Second), WithDeadline(time.Second), WithRedials(3))
+		WithDeadline(time.Second), WithRedials(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,7 @@
 // Wire protocol v2: the framing shared by Client and Server.
 //
-// A v2 connection opens with a 4-byte hello (helloMagic) so the server can
-// tell v2 clients from legacy v1 ones — a v1 stream starts with an op byte
-// (1..8), which can never collide with the magic's first byte (0xD2).
+// A connection opens with a 4-byte hello (helloMagic); the server closes
+// any connection that opens with anything else.
 //
 // v2 request frame (little-endian):
 //
@@ -35,11 +34,10 @@ package transport
 
 import "time"
 
-// helloMagic opens every v2 connection. The first byte is outside the v1
-// op range so the server can sniff the protocol version per connection.
+// helloMagic opens every connection.
 var helloMagic = [4]byte{0xD2, 'M', 'N', '2'}
 
-// Op codes. 1-6 are wire-compatible with protocol v1.
+// Op codes.
 const (
 	OpRead   = 1
 	OpWrite  = 2
@@ -48,7 +46,7 @@ const (
 	OpAlloc  = 5
 	OpInfo   = 6
 	OpPing   = 7 // health probe: returns the server's serving/draining state
-	OpBatch  = 8 // doorbell frame carrying sub-operations (v2 only)
+	OpBatch  = 8 // doorbell frame carrying sub-operations
 )
 
 // Status codes.
@@ -113,11 +111,10 @@ func respPayloadLen(op byte, segs []Seg) int {
 	return 0
 }
 
-// Client dial/IO defaults. They are generous for a LAN; tests and
-// latency-sensitive callers tighten them with options.
+// Client defaults. They are generous for a LAN; tests and latency-sensitive
+// callers tighten the deadline and the redial cap with options.
 const (
 	DefaultDialTimeout = 2 * time.Second
-	DefaultIOTimeout   = 2 * time.Second
 	// DefaultDeadline is the per-request budget: dialing, retries and
 	// resends all happen inside it, and when it expires the request fails
 	// with a bounded error instead of blocking.
