@@ -1,13 +1,14 @@
-// Command tracetool records, inspects, and replays page-access traces —
-// the workflow for evaluating prefetcher changes against captured fault
-// behaviour instead of hand-written loops.
+// Command tracetool records a workload's Perfetto timeline, validates it,
+// summarises its fault stream, and merges control-plane journals into it.
+// A timeline is the flight recorder's one file format (internal/telemetry);
+// to compare prefetchers, record one timeline per -prefetch setting — a
+// recorded fault stream is already filtered by its run's prefetcher and
+// cache, so it is not the access stream and cannot be replayed fairly.
 //
-//	tracetool record   -workload quicksort -out qs.trace
-//	tracetool analyze  qs.trace
-//	tracetool stats    -top 20 qs.trace
-//	tracetool replay   qs.trace -prefetch trend -cache 0.25
-//	tracetool timeline -workload seqread -out timeline.json
-//	tracetool timeline -check timeline.json
+//	tracetool timeline -workload quicksort -prefetch leap -out qs.json
+//	tracetool timeline -check qs.json
+//	tracetool stats    -top 20 qs.json
+//	tracetool stats    -by-core qs.json
 //	tracetool events   journal.jsonl -type slo_alert,breaker_trip
 //	tracetool events   journal.jsonl -merge timeline.json -out merged.json
 package main
@@ -19,17 +20,16 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
 	"dilos/internal/core"
 	"dilos/internal/fabric"
-	"dilos/internal/pagetable"
 	"dilos/internal/prefetch"
 	"dilos/internal/redis"
 	"dilos/internal/sim"
 	"dilos/internal/telemetry"
-	"dilos/internal/trace"
 	"dilos/internal/workloads"
 )
 
@@ -38,14 +38,8 @@ func main() {
 		usage()
 	}
 	switch os.Args[1] {
-	case "record":
-		record(os.Args[2:])
-	case "analyze":
-		analyze(os.Args[2:])
 	case "stats":
 		statsCmd(os.Args[2:])
-	case "replay":
-		replay(os.Args[2:])
 	case "timeline":
 		timeline(os.Args[2:])
 	case "events":
@@ -56,50 +50,11 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: tracetool record|analyze|stats|replay|timeline|events [flags]")
+	fmt.Fprintln(os.Stderr, "usage: tracetool timeline|stats|events [flags]")
 	os.Exit(2)
 }
 
-func record(args []string) {
-	fs := flag.NewFlagSet("record", flag.ExitOnError)
-	workload := fs.String("workload", "seqread", "seqread | quicksort | redis-get")
-	out := fs.String("out", "dilos.trace", "output file")
-	pages := fs.Uint64("pages", 4096, "working-set pages")
-	cache := fs.Float64("cache", 0.125, "local-memory fraction")
-	fs.Parse(args)
-
-	rec := trace.NewRecorder(0)
-	eng := sim.New()
-	frames := int(float64(*pages) * *cache)
-	if frames < 96 {
-		frames = 96
-	}
-	sys := core.New(eng, core.Config{
-		CacheFrames: frames, Cores: 2, RemoteBytes: *pages*4096 + (128 << 20),
-		Fabric: fabric.DefaultParams(), Prefetcher: prefetch.NewReadahead(0),
-		Trace: rec,
-	})
-	sys.Start()
-	launchWorkload(sys, *workload, *pages)
-	eng.Run()
-
-	f, err := os.Create(*out)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := rec.Save(f); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("recorded %d events (%d dropped) from %s to %s\n",
-		rec.Len(), rec.Dropped(), *workload, *out)
-	printStats(rec.Analyze())
-}
-
-// launchWorkload starts the named workload app on sys (both record and
-// timeline drive the same harness).
+// launchWorkload starts the named workload app on sys.
 func launchWorkload(sys *core.System, workload string, pages uint64) {
 	sys.Launch("app", 0, func(sp *core.DDCProc) {
 		switch workload {
@@ -123,93 +78,129 @@ func launchWorkload(sys *core.System, workload string, pages uint64) {
 	})
 }
 
-func loadFile(path string) []trace.Event {
-	f, err := os.Open(path)
+// faultEvent is one fault-track event of a timeline: a major or minor
+// fault span, or a prefetch-hit marker.
+type faultEvent struct {
+	ts   float64 // µs
+	core int
+	kind string // major_fault | minor_fault | prefetch_hit
+	page int64
+}
+
+// loadFaults reads the fault-track events of a Perfetto timeline written
+// by tracetool timeline, ddcrun -trace-out or dilosbench -trace-out: the
+// major_fault, minor_fault and prefetch_hit events on the fault/core<N>
+// tracks, ordered by time (ties by core).
+func loadFaults(path string) []faultEvent {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	defer f.Close()
-	events, err := trace.Load(f)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	var doc struct {
+		TraceEvents []struct {
+			Ph   string  `json:"ph"`
+			Tid  int     `json:"tid"`
+			Ts   float64 `json:"ts"`
+			Name string  `json:"name"`
+			Args struct {
+				Name string `json:"name"`
+				Page *int64 `json:"page"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
 		os.Exit(1)
 	}
+	coreOf := map[int]int{} // tid → core, fault tracks only
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "M" || ev.Name != "thread_name" {
+			continue
+		}
+		if n, ok := strings.CutPrefix(ev.Args.Name, "fault/core"); ok {
+			if c, err := strconv.Atoi(n); err == nil {
+				coreOf[ev.Tid] = c
+			}
+		}
+	}
+	var events []faultEvent
+	for _, ev := range doc.TraceEvents {
+		c, ok := coreOf[ev.Tid]
+		if !ok || ev.Ph != "X" || ev.Args.Page == nil {
+			continue
+		}
+		switch ev.Name {
+		case "major_fault", "minor_fault", "prefetch_hit":
+			events = append(events, faultEvent{ts: ev.Ts, core: c, kind: ev.Name, page: *ev.Args.Page})
+		}
+	}
+	sort.SliceStable(events, func(i, j int) bool {
+		if events[i].ts != events[j].ts {
+			return events[i].ts < events[j].ts
+		}
+		return events[i].core < events[j].core
+	})
 	return events
 }
 
-func analyze(args []string) {
-	if len(args) < 1 {
-		usage()
+// kindCounts tallies fault events by kind.
+type kindCounts struct{ major, minor, hit int }
+
+func (k *kindCounts) add(kind string) {
+	switch kind {
+	case "major_fault":
+		k.major++
+	case "minor_fault":
+		k.minor++
+	case "prefetch_hit":
+		k.hit++
 	}
-	events := loadFile(args[0])
-	rec := trace.NewRecorder(len(events) + 1)
-	for _, e := range events {
-		rec.RecordOn(e.At, e.VPN, e.Kind, e.Core)
-	}
-	fmt.Printf("%s: %d events over %d pages\n", args[0], len(events), trace.Span(events))
-	printStats(rec.Analyze())
 }
 
-func printStats(st trace.Stats) {
-	fmt.Printf("  major=%d minor=%d hit=%d write=%d unique-pages=%d\n",
-		st.Counts[trace.Major], st.Counts[trace.Minor], st.Counts[trace.Hit],
-		st.Counts[trace.Write], st.UniquePages)
-	fmt.Printf("  sequential transitions: %.1f%%; top stride %d (%.1f%%)\n",
-		100*st.SeqFraction, st.TopStride, 100*st.TopStrideFrac)
+// faultSummary is the headline of a fault stream: counts by kind,
+// distinct pages, and the page-stride shape a prefetcher would see.
+type faultSummary struct {
+	kindCounts
+	pages       int
+	transitions int
+	seqFraction float64 // share of transitions with |stride| == 1
+	topStride   int64   // most common stride (smallest on ties)
+	topFraction float64
 }
 
-func replay(args []string) {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	pf := fs.String("prefetch", "readahead", "none | readahead | trend | leap")
-	cache := fs.Float64("cache", 0.125, "local-memory fraction of the trace span")
-	if len(args) < 1 {
-		usage()
+func summarize(events []faultEvent) faultSummary {
+	var sum faultSummary
+	pages := map[int64]bool{}
+	strides := map[int64]int{}
+	seq := 0
+	for i, e := range events {
+		sum.add(e.kind)
+		pages[e.page] = true
+		if i > 0 {
+			d := e.page - events[i-1].page
+			strides[d]++
+			if d == 1 || d == -1 {
+				seq++
+			}
+		}
 	}
-	file := args[0]
-	fs.Parse(args[1:])
-
-	events := loadFile(file)
-	span := trace.Span(events)
-	var prefetcher prefetch.Prefetcher
-	switch *pf {
-	case "none":
-	case "readahead":
-		prefetcher = prefetch.NewReadahead(0)
-	case "trend":
-		prefetcher = prefetch.NewTrend()
-	case "leap":
-		prefetcher = prefetch.NewLeap()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown prefetcher %q\n", *pf)
-		os.Exit(2)
+	sum.pages = len(pages)
+	if sum.transitions = len(events) - 1; sum.transitions > 0 {
+		bestN := 0
+		for d, c := range strides {
+			if c > bestN || (c == bestN && d < sum.topStride) {
+				sum.topStride, bestN = d, c
+			}
+		}
+		sum.seqFraction = float64(seq) / float64(sum.transitions)
+		sum.topFraction = float64(bestN) / float64(sum.transitions)
 	}
-	frames := int(float64(span) * *cache)
-	if frames < 96 {
-		frames = 96
-	}
-	eng := sim.New()
-	sys := core.New(eng, core.Config{
-		CacheFrames: frames, Cores: 2, RemoteBytes: span*4096 + (128 << 20),
-		Fabric: fabric.DefaultParams(), Prefetcher: prefetcher,
-	})
-	sys.Start()
-	var elapsed sim.Time
-	sys.Launch("replay", 0, func(sp *core.DDCProc) {
-		base, _ := sys.MmapDDC(span + 1)
-		t0 := sp.Now()
-		trace.Replay(sp, base, events)
-		elapsed = sp.Now() - t0
-	})
-	eng.Run()
-	fmt.Printf("replayed %d events over %d pages with %s @ %.1f%% local: %v\n",
-		len(events), span, *pf, *cache*100, elapsed)
-	fmt.Printf("  major=%d minor=%d hits=%d prefetches=%d\n",
-		sys.MajorFaults.N, sys.MinorFaults.N, sys.LateMapHits.N, sys.Prefetches.N)
+	return sum
 }
 
-// statsCmd ranks the hottest pages of a recorded access trace, and with
-// -by-core breaks the event mix down per faulting core.
+// statsCmd summarises the fault stream of a timeline and ranks its
+// hottest pages, or with -by-core breaks the mix down per faulting core.
 func statsCmd(args []string) {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	top := fs.Int("top", 10, "how many hottest pages to list")
@@ -218,95 +209,89 @@ func statsCmd(args []string) {
 	if fs.NArg() < 1 {
 		usage()
 	}
-	events := loadFile(fs.Arg(0))
+	path := fs.Arg(0)
+	events := loadFaults(path)
 	if *byCore {
-		statsByCore(fs.Arg(0), events)
+		statsByCore(path, events)
 		return
 	}
-	type pageCount struct {
-		vpn          pagetable.VPN
-		total        int
-		major, minor int
+	sum := summarize(events)
+	fmt.Printf("%s: %d fault events over %d pages\n", path, len(events), sum.pages)
+	fmt.Printf("  major=%d minor=%d hit=%d\n", sum.major, sum.minor, sum.hit)
+	if sum.transitions > 0 {
+		fmt.Printf("  sequential transitions: %.1f%%; top stride %d (%.1f%%)\n",
+			100*sum.seqFraction, sum.topStride, 100*sum.topFraction)
 	}
-	byVPN := map[pagetable.VPN]*pageCount{}
+
+	type pageCount struct {
+		page  int64
+		total int
+		kindCounts
+	}
+	byPage := map[int64]*pageCount{}
 	for _, e := range events {
-		pc := byVPN[e.VPN]
+		pc := byPage[e.page]
 		if pc == nil {
-			pc = &pageCount{vpn: e.VPN}
-			byVPN[e.VPN] = pc
+			pc = &pageCount{page: e.page}
+			byPage[e.page] = pc
 		}
 		pc.total++
-		switch e.Kind {
-		case trace.Major:
-			pc.major++
-		case trace.Minor:
-			pc.minor++
-		}
+		pc.add(e.kind)
 	}
-	ranked := make([]*pageCount, 0, len(byVPN))
-	for _, pc := range byVPN {
+	ranked := make([]*pageCount, 0, len(byPage))
+	for _, pc := range byPage {
 		ranked = append(ranked, pc)
 	}
 	sort.Slice(ranked, func(i, j int) bool {
 		if ranked[i].total != ranked[j].total {
 			return ranked[i].total > ranked[j].total
 		}
-		return ranked[i].vpn < ranked[j].vpn
+		return ranked[i].page < ranked[j].page
 	})
 	if *top < len(ranked) {
 		ranked = ranked[:*top]
 	}
-	fmt.Printf("%s: %d events over %d pages; top %d:\n",
-		fs.Arg(0), len(events), len(byVPN), len(ranked))
-	fmt.Printf("  %4s %10s %8s %8s %8s %7s\n", "rank", "vpn", "events", "major", "minor", "share")
+	fmt.Printf("  top %d pages:\n", len(ranked))
+	fmt.Printf("  %4s %10s %8s %8s %8s %8s %7s\n", "rank", "page", "events", "major", "minor", "hit", "share")
 	for i, pc := range ranked {
-		fmt.Printf("  %4d %10d %8d %8d %8d %6.2f%%\n",
-			i+1, pc.vpn, pc.total, pc.major, pc.minor, 100*float64(pc.total)/float64(len(events)))
+		fmt.Printf("  %4d %10d %8d %8d %8d %8d %6.2f%%\n",
+			i+1, pc.page, pc.total, pc.major, pc.minor, pc.hit, 100*float64(pc.total)/float64(len(events)))
 	}
 }
 
-// statsByCore prints the per-core event breakdown of a trace: how many
+// statsByCore prints the per-core fault breakdown of a timeline: how many
 // events each faulting core produced by kind, how many distinct pages it
 // touched, and its share of the whole — the per-core view that shows
 // whether fault load is balanced across the sharded handlers.
-func statsByCore(path string, events []trace.Event) {
+func statsByCore(path string, events []faultEvent) {
 	type coreCount struct {
-		core                     int
-		total                    int
-		major, minor, hit, write int
-		pages                    map[pagetable.VPN]bool
+		core  int
+		total int
+		kindCounts
+		pages map[int64]bool
 	}
 	byCore := map[int]*coreCount{}
 	for _, e := range events {
-		cc := byCore[e.Core]
+		cc := byCore[e.core]
 		if cc == nil {
-			cc = &coreCount{core: e.Core, pages: map[pagetable.VPN]bool{}}
-			byCore[e.Core] = cc
+			cc = &coreCount{core: e.core, pages: map[int64]bool{}}
+			byCore[e.core] = cc
 		}
 		cc.total++
-		cc.pages[e.VPN] = true
-		switch e.Kind {
-		case trace.Major:
-			cc.major++
-		case trace.Minor:
-			cc.minor++
-		case trace.Hit:
-			cc.hit++
-		case trace.Write:
-			cc.write++
-		}
+		cc.pages[e.page] = true
+		cc.add(e.kind)
 	}
 	ranked := make([]*coreCount, 0, len(byCore))
 	for _, cc := range byCore {
 		ranked = append(ranked, cc)
 	}
 	sort.Slice(ranked, func(i, j int) bool { return ranked[i].core < ranked[j].core })
-	fmt.Printf("%s: %d events across %d cores\n", path, len(events), len(ranked))
-	fmt.Printf("  %6s %8s %8s %8s %8s %8s %8s %7s\n",
-		"core", "events", "major", "minor", "hit", "write", "pages", "share")
+	fmt.Printf("%s: %d fault events across %d cores\n", path, len(events), len(ranked))
+	fmt.Printf("  %6s %8s %8s %8s %8s %8s %7s\n",
+		"core", "events", "major", "minor", "hit", "pages", "share")
 	for _, cc := range ranked {
-		fmt.Printf("  %6d %8d %8d %8d %8d %8d %8d %6.2f%%\n",
-			cc.core, cc.total, cc.major, cc.minor, cc.hit, cc.write,
+		fmt.Printf("  %6d %8d %8d %8d %8d %8d %6.2f%%\n",
+			cc.core, cc.total, cc.major, cc.minor, cc.hit,
 			len(cc.pages), 100*float64(cc.total)/float64(len(events)))
 	}
 }

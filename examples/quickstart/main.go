@@ -12,6 +12,7 @@ import (
 	"dilos/internal/fabric"
 	"dilos/internal/prefetch"
 	"dilos/internal/sim"
+	"dilos/internal/telemetry"
 )
 
 func main() {
@@ -26,6 +27,9 @@ func main() {
 		RemoteBytes: 256 << 20,
 		Fabric:      fabric.DefaultParams(),
 		Prefetcher:  prefetch.NewReadahead(0), // Linux-style readahead
+		// A totals-only flight recorder: per-stage sums of every fault,
+		// no span rings kept.
+		Tel: telemetry.NewTotals(),
 	})
 	sys.Start() // launches the cleaner, reclaimer, and prefetch mappers
 
@@ -59,9 +63,11 @@ func main() {
 	fmt.Printf("  pages prefetched: %d\n", sys.Prefetches.N)
 	fmt.Printf("  cleaner wrote:    %d dirty pages back (off the fault path)\n", sys.Mgr.Cleaned.N)
 	fmt.Printf("  reclaimer evicted:%d cold pages (fault path reclaim: 0)\n", sys.Mgr.Evicted.N)
-	e, h, f, m, _ := sys.BD.Mean()
-	fmt.Printf("  mean major fault: %v (exception %v + handler %v + fetch %v + map %v)\n",
-		sys.BD.Total(), e, h, f, m)
+	t := sys.Tel.Totals(telemetry.KindMajorFault)
+	fmt.Printf("  mean major fault: %v (exception %v + handler %v + prefetch %v + fetch %v + map %v)\n",
+		t.Dur/sim.Time(t.N), t.Mean(telemetry.StageException), t.Mean(telemetry.StageLookup),
+		t.Mean(telemetry.StageIssue)+t.Mean(telemetry.StageGuide), t.Mean(telemetry.StageWait),
+		t.Mean(telemetry.StageMap))
 	fmt.Printf("  network:          rx %d MiB, tx %d MiB\n",
 		sys.Link.RxBytes.N>>20, sys.Link.TxBytes.N>>20)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 	"dilos/internal/placement"
 	"dilos/internal/prefetch"
 	"dilos/internal/sim"
-	"dilos/internal/trace"
+	"dilos/internal/telemetry"
 )
 
 // aliases keep the Fastswap stress test readable inside this package.
@@ -35,6 +36,22 @@ func newSys(t testing.TB, frames int, pf prefetch.Prefetcher) (*System, *sim.Eng
 		RemoteBytes: 256 << 20,
 		Fabric:      fabric.DefaultParams(),
 		Prefetcher:  pf,
+	})
+	sys.Start()
+	return sys, eng
+}
+
+// newTotalsSys is newSys (no prefetcher) with a totals-only flight
+// recorder attached, for tests that read the per-stage fault totals.
+func newTotalsSys(t testing.TB, frames int) (*System, *sim.Engine) {
+	t.Helper()
+	eng := sim.New()
+	sys := New(eng, Config{
+		CacheFrames: frames,
+		Cores:       2,
+		RemoteBytes: 256 << 20,
+		Fabric:      fabric.DefaultParams(),
+		Tel:         telemetry.NewTotals(),
 	})
 	sys.Start()
 	return sys, eng
@@ -194,7 +211,7 @@ func TestFetchingStateServesConcurrentFaulters(t *testing.T) {
 }
 
 func TestFaultLatencyShape(t *testing.T) {
-	sys, eng := newSys(t, 64, nil)
+	sys, eng := newTotalsSys(t, 64)
 	const pages = 200
 	sys.Launch("app", 0, func(sp *DDCProc) {
 		base, _ := sys.MmapDDC(pages)
@@ -209,7 +226,12 @@ func TestFaultLatencyShape(t *testing.T) {
 	if mean < 3*sim.Microsecond || mean > 4500*sim.Nanosecond {
 		t.Fatalf("mean fault latency = %v, want ≈3.5us", mean)
 	}
-	e, h, f, m, r := sys.BD.Mean()
+	tot := sys.Tel.Totals(telemetry.KindMajorFault)
+	if tot.N != sys.MajorFaults.N {
+		t.Fatalf("recorded %d major faults, counter says %d", tot.N, sys.MajorFaults.N)
+	}
+	e, h := tot.Mean(telemetry.StageException), tot.Mean(telemetry.StageLookup)
+	f, m, r := tot.Mean(telemetry.StageWait), tot.Mean(telemetry.StageMap), tot.Mean(telemetry.StageReclaim)
 	if r != 0 {
 		t.Fatalf("DiLOS must have zero reclaim in the fault path, got %v", r)
 	}
@@ -225,7 +247,7 @@ func TestFaultLatencyShape(t *testing.T) {
 }
 
 func TestReclaimStaysOffFaultPath(t *testing.T) {
-	sys, eng := newSys(t, 64, nil)
+	sys, eng := newTotalsSys(t, 64)
 	const pages = 512
 	sys.Launch("app", 0, func(sp *DDCProc) {
 		base, _ := sys.MmapDDC(pages)
@@ -234,8 +256,8 @@ func TestReclaimStaysOffFaultPath(t *testing.T) {
 		}
 	})
 	eng.Run()
-	if sys.BD.Reclaim != 0 {
-		t.Fatalf("reclaim leaked into the fault path: %v", sys.BD.Reclaim)
+	if r := sys.Tel.Totals(telemetry.KindMajorFault).Stages[telemetry.StageReclaim]; r != 0 {
+		t.Fatalf("reclaim leaked into the fault path: %v", r)
 	}
 	if sys.Mgr.AllocWaits.N > int64(pages)/20 {
 		t.Fatalf("allocator waited %d times — eager eviction not keeping up", sys.Mgr.AllocWaits.N)
@@ -388,55 +410,59 @@ func TestMultiNodeAggregatesBandwidth(t *testing.T) {
 	}
 }
 
+// Every fault the handler counts lands in the flight recorder as a span of
+// its kind on the faulting core's track: majors, minors, and late-map
+// prefetch hits alike.
 func TestFaultTraceRecording(t *testing.T) {
-	rec := trace.NewRecorder(0)
+	rec := telemetry.NewRecorder(0)
 	eng := sim.New()
 	sys := New(eng, Config{
-		CacheFrames: 256, Cores: 1, RemoteBytes: 64 << 20,
+		CacheFrames: 512, Cores: 2, RemoteBytes: 64 << 20,
 		Fabric: fabric.DefaultParams(), Prefetcher: prefetch.NewReadahead(0),
-		Trace: rec,
+		Tel: rec,
 	})
 	sys.Start()
-	const pages = 256
-	sys.Launch("app", 0, func(sp *DDCProc) {
-		base, _ := sys.MmapDDC(pages)
-		for i := uint64(0); i < pages; i++ {
-			sp.LoadU8(base + i*PageSize)
-		}
-	})
+	const pages = 1024
+	base, _ := sys.MmapDDC(pages)
+	// Two cores sweep the same pages, core 1 40 µs behind core 0: now and
+	// then core 1 finds one of core 0's prefetches arrived but not yet
+	// mapped by core 0's mapper — a late-map hit.
+	for c := 0; c < 2; c++ {
+		c := c
+		sys.Launch(fmt.Sprintf("app%d", c), c, func(sp *DDCProc) {
+			sp.Proc().Sleep(sim.Time(c) * 40 * sim.Microsecond)
+			for i := uint64(0); i < pages; i++ {
+				sp.LoadU8(base + i*PageSize)
+			}
+		})
+	}
 	eng.Run()
-	st := rec.Analyze()
-	if st.Counts[trace.Major] != sys.MajorFaults.N {
-		t.Fatalf("trace majors %d != counter %d", st.Counts[trace.Major], sys.MajorFaults.N)
+	if sys.LateMapHits.N == 0 {
+		t.Fatal("no late-map hits; the prefetch-hit kind went unexercised")
 	}
-	if st.Counts[trace.Minor] != sys.MinorFaults.N {
-		t.Fatalf("trace minors %d != counter %d", st.Counts[trace.Minor], sys.MinorFaults.N)
+	counts := map[telemetry.Kind]int64{}
+	for c := 0; c < 2; c++ {
+		for _, sp := range rec.Spans(sys.telCore[c]) {
+			counts[sp.Kind]++
+			if sp.Kind == telemetry.KindPrefetchHit && sp.Dur() != 0 {
+				t.Fatalf("prefetch hit has duration %v, want a zero-length marker", sp.Dur())
+			}
+		}
 	}
-	// Sequential read: the fault trace interleaves stride-1 minors with
-	// stride-8 cluster boundaries, so "mostly small forward strides" is
-	// the right expectation.
-	if st.SeqFraction < 0.3 {
-		t.Fatalf("seq fraction = %v", st.SeqFraction)
-	}
-	if st.TopStride < 1 || st.TopStride > 8 {
-		t.Fatalf("top stride = %d", st.TopStride)
-	}
-	// Replay the captured trace onto a fresh system: it must fault again
-	// with the same page span.
-	events := rec.Events()
-	eng2 := sim.New()
-	sys2 := New(eng2, Config{
-		CacheFrames: 96, Cores: 1, RemoteBytes: 64 << 20,
-		Fabric: fabric.DefaultParams(),
-	})
-	sys2.Start()
-	sys2.Launch("replay", 0, func(sp *DDCProc) {
-		base, _ := sys2.MmapDDC(trace.Span(events) + 1)
-		trace.Replay(sp, base, events)
-	})
-	eng2.Run()
-	if sys2.MajorFaults.N == 0 {
-		t.Fatal("replay produced no faults")
+	for _, c := range []struct {
+		kind telemetry.Kind
+		want int64
+	}{
+		{telemetry.KindMajorFault, sys.MajorFaults.N},
+		{telemetry.KindMinorFault, sys.MinorFaults.N},
+		{telemetry.KindPrefetchHit, sys.LateMapHits.N},
+	} {
+		if counts[c.kind] != c.want {
+			t.Errorf("%v spans = %d, counter = %d", c.kind, counts[c.kind], c.want)
+		}
+		if got := rec.Totals(c.kind).N; got != c.want {
+			t.Errorf("%v totals = %d, counter = %d", c.kind, got, c.want)
+		}
 	}
 }
 

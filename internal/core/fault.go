@@ -12,7 +12,6 @@ import (
 	"dilos/internal/prefetch"
 	"dilos/internal/sim"
 	"dilos/internal/telemetry"
-	"dilos/internal/trace"
 )
 
 // coreHandler adapts one core's faults onto the system.
@@ -45,11 +44,7 @@ func (h *coreHandler) HandleFault(c *mmu.Core, vpn pagetable.VPN, write bool) {
 		return // resolved concurrently
 	case pagetable.TagRemote:
 		p.Advance(c.Costs.Exception)
-		s.BD.Exception += c.Costs.Exception
 		s.MajorFaults.Inc()
-		if s.Trace != nil {
-			s.Trace.RecordOn(p.Now(), vpn, trace.Major, h.coreID)
-		}
 		// The fetch offset comes from the (failover-aware) slot mapping,
 		// not the PTE payload, so a page whose primary node died reads
 		// from its next live replica. majorFetch resolves the slot and
@@ -60,7 +55,6 @@ func (h *coreHandler) HandleFault(c *mmu.Core, vpn pagetable.VPN, write bool) {
 		}, false)
 	case pagetable.TagAction:
 		p.Advance(c.Costs.Exception)
-		s.BD.Exception += c.Costs.Exception
 		s.MajorFaults.Inc()
 		s.GuidedFetches.Inc()
 		payload := pte.Payload()
@@ -99,8 +93,10 @@ func (h *coreHandler) HandleFault(c *mmu.Core, vpn pagetable.VPN, write bool) {
 			// The serialized simulation just hadn't run the mapper yet:
 			// install the mapping without charging the app anything.
 			s.LateMapHits.Inc()
-			if s.Trace != nil {
-				s.Trace.RecordOn(p.Now(), vpn, trace.Hit, h.coreID)
+			if s.Tel != nil {
+				s.Tel.Emit(s.telCore[h.coreID], telemetry.Span{
+					Kind: telemetry.KindPrefetchHit, Start: p.Now(), End: p.Now(), Arg: uint64(vpn),
+				})
 			}
 			s.mapFetched(p, h.coreID, slot, gen, false)
 			// Keep the readahead window moving: like Linux's PG_readahead
@@ -114,9 +110,6 @@ func (h *coreHandler) HandleFault(c *mmu.Core, vpn pagetable.VPN, write bool) {
 		t0 := p.Now()
 		p.Advance(c.Costs.Exception)
 		s.MinorFaults.Inc()
-		if s.Trace != nil {
-			s.Trace.RecordOn(p.Now(), vpn, trace.Minor, h.coreID)
-		}
 		// §4.3: the prefetcher and hit tracker run in the fault handler —
 		// minor faults included — overlapping whatever wait remains.
 		p.Advance(s.Costs.HandlerCheck)
@@ -276,7 +269,6 @@ func (s *System) majorFetch(p *sim.Proc, coreID int, vpn pagetable.VPN, pte *pag
 	if s.wideLocks {
 		s.Mgr.Wide.Release(p)
 	}
-	s.BD.Handler += p.Now() - t0
 	if rec {
 		span.Stages[telemetry.StageLookup] = p.Now() - t0
 	}
@@ -285,7 +277,6 @@ func (s *System) majorFetch(p *sim.Proc, coreID int, vpn pagetable.VPN, pte *pag
 	if !ok {
 		panic(fmt.Sprintf("core: remote PTE for unmapped vpn %d", vpn))
 	}
-	tIssue := p.Now()
 	var op *fabric.Op
 	counted := false
 	if len(slots) > 0 {
@@ -316,7 +307,6 @@ func (s *System) majorFetch(p *sim.Proc, coreID int, vpn pagetable.VPN, pte *pag
 	if op == nil || op.Err != nil {
 		s.recoverFetch(p, coreID, vpn, slot, gen, counted, buf, issue)
 	}
-	s.BD.Fetch += p.Now() - tIssue
 	tMap := p.Now()
 	if rec {
 		span.Stages[telemetry.StageIssue] = issueDur
@@ -324,8 +314,6 @@ func (s *System) majorFetch(p *sim.Proc, coreID int, vpn pagetable.VPN, pte *pag
 		span.Stages[telemetry.StageWait] = tMap - tWait
 	}
 	s.finishFetch(p, coreID, slot, gen)
-	s.BD.Map += p.Now() - tMap
-	s.BD.N++
 	lat := p.Now() - t0 + s.MMUC.Exception
 	s.FaultLat.Record(lat)
 	if s.sloMon != nil {

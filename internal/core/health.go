@@ -80,23 +80,12 @@ type HealthMonitor struct {
 	LastRecoverAt []sim.Time
 }
 
-// NewHealthMonitor builds a monitor over the system's memory nodes.
-func NewHealthMonitor(s *System, cfg HealthConfig) *HealthMonitor {
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultHealthConfig().Interval
-	}
-	if cfg.FailAfter <= 0 {
-		cfg.FailAfter = DefaultHealthConfig().FailAfter
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = DefaultHealthConfig().Cooldown
-	}
-	if cfg.SuccessAfter <= 0 {
-		cfg.SuccessAfter = DefaultHealthConfig().SuccessAfter
-	}
+// NewHealthMonitor builds a monitor over the system's memory nodes, tuned
+// by DefaultHealthConfig.
+func NewHealthMonitor(s *System) *HealthMonitor {
 	return &HealthMonitor{
 		sys:            s,
-		cfg:            cfg,
+		cfg:            DefaultHealthConfig(),
 		Probes:         stats.Counter{Name: "health.probes"},
 		ProbeFails:     stats.Counter{Name: "health.probe_fails"},
 		NodeFails:      stats.Counter{Name: "health.node_fails"},
@@ -114,7 +103,7 @@ func (h *HealthMonitor) RegisterStats(r *stats.Registry) {
 	r.RegisterCounter(&h.NodeRecoveries)
 }
 
-// Config returns the monitor's (defaulted) configuration.
+// Config returns the monitor's configuration.
 func (h *HealthMonitor) Config() HealthConfig { return h.cfg }
 
 // Start launches one watch daemon per memory node.
@@ -125,7 +114,9 @@ func (h *HealthMonitor) Start() {
 }
 
 // Watch launches the watch daemon for one node — the join path for nodes
-// attached after construction (AddMemNode/AttachBacking). Idempotent.
+// attached after construction (AddMemNode/AttachBacking). Idempotent. A
+// new process's clock starts at 0, so a watcher spawned mid-run first
+// waits until the join time: it must not probe the joiner in the past.
 func (h *HealthMonitor) Watch(node int) {
 	for len(h.watched) <= node {
 		h.watched = append(h.watched, false)
@@ -138,7 +129,11 @@ func (h *HealthMonitor) Watch(node int) {
 		return
 	}
 	h.watched[node] = true
+	joinAt := h.sys.Eng.Now()
 	h.sys.Eng.GoDaemon(fmt.Sprintf("dilos.health%d", node), func(p *sim.Proc) {
+		if joinAt > 0 {
+			p.WaitUntil(joinAt)
+		}
 		h.watch(p, node)
 	})
 }

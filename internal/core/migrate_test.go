@@ -10,6 +10,7 @@ import (
 	"dilos/internal/pagetable"
 	"dilos/internal/placement"
 	"dilos/internal/sim"
+	"dilos/internal/telemetry"
 )
 
 // elasticSys builds a 3-node system with the migration engine armed.
@@ -196,6 +197,45 @@ func TestMigrationSameSeedDeterminism(t *testing.T) {
 	a, b := run(), run()
 	if string(a) != string(b) {
 		t.Fatalf("same seed diverged:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// A node joining mid-run gets a health watcher whose first probe comes at
+// or after the join, never in the virtual past.
+func TestAddMemNodeHealthWatcherStartsAtJoin(t *testing.T) {
+	const joinAt = 5 * sim.Millisecond
+	rec := telemetry.NewRecorder(0)
+	eng := sim.New()
+	sys := New(eng, Config{
+		CacheFrames: 32,
+		Cores:       2,
+		RemoteBytes: 32 << 20,
+		Fabric:      fabric.DefaultParams(),
+		MemNodes:    2,
+		Chaos:       chaos.NewInjector(chaos.Config{Seed: 1}),
+		Tel:         rec,
+	})
+	sys.Start()
+	eng.Go("driver", func(p *sim.Proc) {
+		p.Sleep(joinAt)
+		if _, err := sys.AddMemNode(); err != nil {
+			t.Error(err)
+			return
+		}
+		p.Sleep(sim.Millisecond) // room for a few probes
+	})
+	eng.Run()
+	var probes []telemetry.Span
+	for id, name := range rec.Tracks() {
+		if name == "fabric.node2" {
+			probes = rec.Spans(id)
+		}
+	}
+	if len(probes) == 0 {
+		t.Fatal("the joined node was never probed")
+	}
+	if first := probes[0].Start; first < joinAt {
+		t.Fatalf("first probe of the joiner at %v, before its join at %v", first, joinAt)
 	}
 }
 

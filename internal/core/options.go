@@ -11,8 +11,6 @@ import "fmt"
 //     and MemNodes must be 0 or exactly len(Backings).
 //   - Without Backings, RemoteBytes is required (MemNodes defaults to 1).
 //   - Replicas (default 1) must not exceed the memory node count.
-//   - Health tuning without Chaos is rejected — ops cannot fail, so the
-//     monitor would only burn probe bandwidth.
 //   - SampleEvery without Tel is rejected — there is nowhere to sample to.
 //   - Migrate tuning must pass migrate.Tuning.Validate.
 func (c Config) normalized() (Config, error) {
@@ -46,9 +44,6 @@ func (c Config) normalized() (Config, error) {
 	}
 	if c.Replicas > c.MemNodes {
 		return c, fmt.Errorf("core: Replicas (%d) exceeds the memory node count (%d)", c.Replicas, c.MemNodes)
-	}
-	if c.Health != nil && c.Chaos == nil {
-		return c, fmt.Errorf("core: Health tuning without Chaos is inert — ops cannot fail; set Chaos or drop Health")
 	}
 	if c.SampleEvery > 0 && c.Tel == nil {
 		return c, fmt.Errorf("core: SampleEvery (%v) without Tel has nowhere to sample to; set Tel or drop SampleEvery", c.SampleEvery)

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"dilos/internal/chaos"
 	"dilos/internal/fabric"
 	"dilos/internal/memnode"
 	"dilos/internal/migrate"
@@ -42,15 +41,6 @@ func TestConfigValidateRules(t *testing.T) {
 			c.MemNodes = 2
 		}, ""},
 		{"too many replicas", func(c *Config) { c.MemNodes, c.Replicas = 2, 3 }, "Replicas"},
-		{"health without chaos", func(c *Config) {
-			hc := DefaultHealthConfig()
-			c.Health = &hc
-		}, "inert"},
-		{"health with chaos", func(c *Config) {
-			hc := DefaultHealthConfig()
-			c.Health = &hc
-			c.Chaos = chaos.NewInjector(chaos.Config{Seed: 1})
-		}, ""},
 		{"sampling without recorder", func(c *Config) { c.SampleEvery = sim.Millisecond }, "SampleEvery"},
 		{"sampling with recorder", func(c *Config) {
 			c.Tel = telemetry.NewRecorder(64)

@@ -34,7 +34,6 @@ import (
 	"dilos/internal/sim"
 	"dilos/internal/stats"
 	"dilos/internal/telemetry"
-	"dilos/internal/trace"
 )
 
 // PageSize re-exports the paging granularity.
@@ -88,31 +87,6 @@ type Backing interface {
 	Key() uint32
 }
 
-// Breakdown accumulates the Figure 6 fault-latency segments.
-type Breakdown struct {
-	Exception sim.Time // hardware exception + handler entry
-	Handler   sim.Time // PTE check + frame allocation
-	Fetch     sim.Time // waiting for the 4 KiB RDMA read
-	Map       sim.Time // installing the PTE
-	Reclaim   sim.Time // direct reclamation in the fault path (0 by design)
-	N         int64    // major faults sampled
-}
-
-// Mean returns the per-fault averages.
-func (b Breakdown) Mean() (exception, handler, fetch, mapping, reclaim sim.Time) {
-	if b.N == 0 {
-		return
-	}
-	n := sim.Time(b.N)
-	return b.Exception / n, b.Handler / n, b.Fetch / n, b.Map / n, b.Reclaim / n
-}
-
-// Total returns the mean total fault latency.
-func (b Breakdown) Total() sim.Time {
-	e, h, f, m, r := b.Mean()
-	return e + h + f + m + r
-}
-
 // Config assembles a DiLOS computing node.
 type Config struct {
 	// CacheFrames is the local DRAM cache size in 4 KiB frames.
@@ -151,9 +125,6 @@ type Config struct {
 	// (Space().SetState) switches reads over. Requires MemNodes (or
 	// Backings) ≥ Replicas. Default 1.
 	Replicas int
-	// Trace, when set, records every fault (major/minor) into the ring for
-	// offline analysis and replay (internal/trace).
-	Trace *trace.Recorder
 	// Tel, when set, attaches the flight recorder: the fault handler,
 	// prefetch mappers, cleaner, reclaimer, and fabric links emit spans
 	// into it (internal/telemetry). Nil compiles the instrumentation out:
@@ -175,9 +146,6 @@ type Config struct {
 	// monitor daemons, fetch retry/failover, and re-replication. Without it
 	// the system behaves exactly as before — ops never fail.
 	Chaos *chaos.Injector
-	// Health overrides the health monitor tuning (nil → DefaultHealthConfig
-	// when Chaos is set; ignored otherwise unless explicitly provided).
-	Health *HealthConfig
 	// Batch enables doorbell-batched submission on the hot I/O paths: the
 	// prefetcher posts its whole window per node through one doorbell
 	// (fabric.QP.Submit) with contiguous remote offsets coalesced into
@@ -226,7 +194,6 @@ type System struct {
 	Pf    prefetch.Prefetcher
 	Track *prefetch.HitTracker
 	Hist  *prefetch.History
-	Trace *trace.Recorder
 
 	// guides are the attached app-aware modules (guide.Guide), registered
 	// via AttachGuide before Start; the fault handler calls every guide's
@@ -280,7 +247,7 @@ type System struct {
 
 	// Chaos is the fault injector shared by every link (nil without chaos).
 	Chaos *chaos.Injector
-	// Health is the memory-node health monitor (nil without chaos/health).
+	// Health is the memory-node health monitor (nil without chaos).
 	Health *HealthMonitor
 	// Mig is the elastic-pool migration engine (nil without Config.Migrate).
 	Mig *migrate.Engine
@@ -325,7 +292,6 @@ type System struct {
 	Prefetches    stats.Counter
 	FaultLat      *stats.Histogram // major-fault end-to-end latency
 	MinorFaultLat *stats.Histogram // minor-fault (wait-on-inflight) latency
-	BD            Breakdown
 
 	started bool
 }
@@ -456,7 +422,6 @@ func build(eng *sim.Engine, cfg Config) *System {
 		Pf:       pf,
 		Track:    prefetch.NewHitTracker(),
 		Hist:     prefetch.NewHistory(32),
-		Trace:    cfg.Trace,
 		space: placement.New(placement.Config{
 			Nodes:    cfg.MemNodes,
 			Replicas: cfg.Replicas,
@@ -550,13 +515,8 @@ func build(eng *sim.Engine, cfg Config) *System {
 		}
 		return tgt, true
 	}
-	if cfg.Chaos != nil || cfg.Health != nil {
-		hc := cfg.Health
-		if hc == nil {
-			d := DefaultHealthConfig()
-			hc = &d
-		}
-		s.Health = NewHealthMonitor(s, *hc)
+	if cfg.Chaos != nil {
+		s.Health = NewHealthMonitor(s)
 	}
 	if cfg.Migrate != nil {
 		mc := migrate.Config{

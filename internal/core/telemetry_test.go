@@ -45,11 +45,76 @@ func TestTelemetryOverheadZeroVirtualTime(t *testing.T) {
 	off := run(nil, 0)
 	recOnly := run(telemetry.NewRecorder(0), 0)
 	sampled := run(telemetry.NewRecorder(0), 50*sim.Microsecond)
+	totalsOnly := run(telemetry.NewTotals(), 0)
+	if totalsOnly != off {
+		t.Errorf("totals-only run took %v, disabled took %v", totalsOnly, off)
+	}
 	if recOnly != off {
 		t.Errorf("recorder-only run took %v, disabled took %v", recOnly, off)
 	}
 	if sampled != off {
 		t.Errorf("sampled run took %v, disabled took %v", sampled, off)
+	}
+}
+
+// A totals-only recorder sees exactly what a ring recorder sees: on the
+// same seeded run, a full ring, a ring small enough to wrap, and no ring at
+// all give identical per-kind totals and identical anatomy means. And with
+// no ring to fill, its Emit allocates nothing.
+func TestTelemetryTotalsOnlyMatchesRing(t *testing.T) {
+	const pages = 2048
+	run := func(rec *telemetry.Recorder) *telemetry.Recorder {
+		sys, eng := telSys(pages/8, rec, 0, nil)
+		var d sim.Time
+		seqReadApp(sys, pages, &d)
+		eng.Run()
+		return rec
+	}
+	full := run(telemetry.NewRecorder(0))
+	wrapped := run(telemetry.NewRecorder(16))
+	totals := run(telemetry.NewTotals())
+	if full.DroppedTotal() != 0 || wrapped.DroppedTotal() == 0 {
+		t.Fatalf("drops: full %d, small ring %d; want 0 and > 0", full.DroppedTotal(), wrapped.DroppedTotal())
+	}
+	if totals.Len() != 0 {
+		t.Fatalf("totals-only recorder holds %d spans", totals.Len())
+	}
+	kinds := []telemetry.Kind{telemetry.KindMajorFault, telemetry.KindMinorFault,
+		telemetry.KindPrefetchHit, telemetry.KindPrefetchMap}
+	for _, k := range kinds {
+		want := full.Totals(k)
+		if got := wrapped.Totals(k); got != want {
+			t.Errorf("%v: small-ring totals %+v, full ring %+v", k, got, want)
+		}
+		if got := totals.Totals(k); got != want {
+			t.Errorf("%v: totals-only %+v, full ring %+v", k, got, want)
+		}
+	}
+	if full.Totals(telemetry.KindMajorFault).N == 0 {
+		t.Fatal("no major faults recorded")
+	}
+	a, b := telemetry.FaultAnatomy(full), telemetry.FaultAnatomy(totals)
+	if a.Faults != b.Faults || a.MeanNs != b.MeanNs {
+		t.Errorf("anatomy: totals-only %d faults mean %d ns, full ring %d faults mean %d ns",
+			b.Faults, b.MeanNs, a.Faults, a.MeanNs)
+	}
+	for i := range a.Stages {
+		if a.Stages[i].MeanNs != b.Stages[i].MeanNs {
+			t.Errorf("stage %s mean: totals-only %d, full ring %d",
+				a.Stages[i].Stage, b.Stages[i].MeanNs, a.Stages[i].MeanNs)
+		}
+	}
+
+	tr := totals.Track("fault/core0")
+	var now sim.Time
+	allocs := testing.AllocsPerRun(100, func() {
+		sp := telemetry.Span{Kind: telemetry.KindMajorFault, Start: now, End: now + sim.Microsecond}
+		sp.Stages[telemetry.StageWait] = sim.Microsecond
+		totals.Emit(tr, sp)
+		now += sim.Microsecond
+	})
+	if allocs != 0 {
+		t.Fatalf("totals-only Emit allocates %.1f per call, want 0", allocs)
 	}
 }
 

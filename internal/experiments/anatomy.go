@@ -12,11 +12,9 @@ import (
 	"dilos/internal/workloads"
 )
 
-// This file adds ext6: fault anatomy from the flight recorder. Where
-// Figure 1/6 report mean segments from hand-maintained accumulators
-// (Breakdown), ext6 derives the same decomposition — plus tails — from the
-// recorded per-fault spans, which both cross-checks the accumulators and
-// exercises the recorder end to end.
+// This file adds ext6: fault anatomy from the flight recorder. Figure 1/6
+// project the recorder's stage totals onto five columns; ext6 reports all
+// eight stages, plus tails from the recorded per-fault spans.
 
 // Ext6Row is one system × cache-fraction cell: the per-stage latency
 // anatomy of every major fault the run recorded.

@@ -145,6 +145,17 @@ func (r *Run) telemetry() (*telemetry.Recorder, sim.Time) {
 	return telemetry.NewRecorder(0), r.SampleEvery
 }
 
+// figureTelemetry is telemetry for the systems dilos and fswap boot: with
+// no TelemetrySink they still carry a totals-only recorder (no rings, no
+// sampler), whose stage totals runOn projects onto Figures 1 and 6. It
+// costs no virtual time and no allocation per span.
+func (r *Run) figureTelemetry() (*telemetry.Recorder, sim.Time) {
+	if rec, every := r.telemetry(); rec != nil {
+		return rec, every
+	}
+	return telemetry.NewTotals(), 0
+}
+
 // Scale sizes the workloads. Zero values select the defaults.
 type Scale struct {
 	SeqPages      uint64 // sequential read/write working set (pages)
@@ -228,7 +239,7 @@ func (r *Run) dilos(eng *sim.Engine, wsPages uint64, frac float64, pf prefetch.P
 		EvictionGuide: eg,
 		Batch:         r.Batch,
 	}
-	cfg.Tel, cfg.SampleEvery = r.telemetry()
+	cfg.Tel, cfg.SampleEvery = r.figureTelemetry()
 	r.applyCores(&cfg)
 	sys := core.New(eng, cfg)
 	if g != nil {
@@ -254,7 +265,7 @@ func (r *Run) fswap(eng *sim.Engine, wsPages uint64, frac float64) *fastswap.Sys
 		RemoteBytes: wsPages*fastswap.PageSize + (64 << 20),
 		Fabric:      fabric.DefaultParams(),
 	}
-	cfg.Tel, cfg.SampleEvery = r.telemetry()
+	cfg.Tel, cfg.SampleEvery = r.figureTelemetry()
 	sys := fastswap.New(eng, cfg)
 	sys.Start()
 	return sys
@@ -282,20 +293,27 @@ type runResult struct {
 	bd           BreakdownRow // per-fault mean segments; Label unset
 }
 
-// breakdown is the per-fault latency accounting both paging systems keep.
-type breakdown interface {
-	Mean() (exception, software, fetch, mapping, reclaim sim.Time)
-	Total() sim.Time
-}
-
-func breakdownRow(b breakdown) BreakdownRow {
-	e, s, f, m, rc := b.Mean()
-	return BreakdownRow{Exception: e, Software: s, Fetch: f, Map: m, Reclaim: rc, Total: b.Total()}
+// breakdownRow projects a recording's major-fault stage totals onto the
+// Figure 1/6 columns. StageIssue and StageGuide fall in no column: both are
+// zero on the no-prefetch DiLOS the figures print, but Fastswap's
+// readahead issue is fault time Figure 1 leaves out.
+func breakdownRow(rec *telemetry.Recorder) BreakdownRow {
+	t := rec.Totals(telemetry.KindMajorFault)
+	row := BreakdownRow{
+		Exception: t.Mean(telemetry.StageException),
+		Software:  t.Mean(telemetry.StageLookup),
+		Fetch:     t.Mean(telemetry.StageWait),
+		Map:       t.Mean(telemetry.StageMap),
+		Reclaim:   t.Mean(telemetry.StageReclaim),
+	}
+	row.Total = row.Exception + row.Software + row.Fetch + row.Map + row.Reclaim
+	return row
 }
 
 // runOn runs fn on the named paging system and returns elapsed virtual
 // time, the fault counters and the fault breakdown — the common harness
-// for Figures 1 and 6–9 and Tables 1–3. The -stats label is
+// for Figures 1 and 6–9 and Tables 1–3. The breakdown comes from the
+// system's flight recorder (see figureTelemetry). The -stats label is
 // id/kind/fraction.
 func (r *Run) runOn(id string, kind SystemKind, wsPages uint64, frac float64,
 	fn func(sp space.Space, mmap func(uint64) (uint64, error))) runResult {
@@ -311,7 +329,7 @@ func (r *Run) runOn(id string, kind SystemKind, wsPages uint64, frac float64,
 			res.elapsed = sp.Now() - t0
 		})
 		eng.Run()
-		res.major, res.minor, res.bd = sys.MajorFaults.N, sys.MinorFaults.N, breakdownRow(sys.BD)
+		res.major, res.minor, res.bd = sys.MajorFaults.N, sys.MinorFaults.N, breakdownRow(sys.Tel)
 		r.collect(label, sys)
 	default:
 		sys := r.dilos(eng, wsPages, frac, pfFor(kind), nil, nil, kind == SysDiLOSTCP)
@@ -321,7 +339,7 @@ func (r *Run) runOn(id string, kind SystemKind, wsPages uint64, frac float64,
 			res.elapsed = sp.Now() - t0
 		})
 		eng.Run()
-		res.major, res.minor, res.bd = sys.MajorFaults.N, sys.MinorFaults.N, breakdownRow(sys.BD)
+		res.major, res.minor, res.bd = sys.MajorFaults.N, sys.MinorFaults.N, breakdownRow(sys.Tel)
 		r.collect(label, sys)
 	}
 	return res

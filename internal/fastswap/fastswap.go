@@ -82,31 +82,6 @@ type Config struct {
 	SampleEvery sim.Time
 }
 
-// Breakdown mirrors core.Breakdown for Figure 1/6.
-type Breakdown struct {
-	Exception sim.Time
-	SwapMgmt  sim.Time // kernel entry + swap cache + page alloc
-	Fetch     sim.Time
-	Map       sim.Time
-	Reclaim   sim.Time // direct reclamation on the fault path
-	N         int64
-}
-
-// Mean returns per-fault averages.
-func (b Breakdown) Mean() (exception, swapMgmt, fetch, mapping, reclaim sim.Time) {
-	if b.N == 0 {
-		return
-	}
-	n := sim.Time(b.N)
-	return b.Exception / n, b.SwapMgmt / n, b.Fetch / n, b.Map / n, b.Reclaim / n
-}
-
-// Total returns the mean total fault latency.
-func (b Breakdown) Total() sim.Time {
-	e, s, f, m, r := b.Mean()
-	return e + s + f + m + r
-}
-
 type scEntry struct {
 	frame  dram.FrameID
 	op     *fabric.Op
@@ -154,7 +129,6 @@ type System struct {
 	SyncWrites    stats.Counter
 	FaultLat      *stats.Histogram // major-fault end-to-end latency
 	MinorFaultLat *stats.Histogram // minor-fault (swap-cache hit) latency
-	BD            Breakdown
 
 	// Flight recorder (nil when Config.Tel was unset) and its sampler.
 	Tel         *telemetry.Recorder

@@ -5,6 +5,7 @@ import (
 
 	"dilos/internal/fabric"
 	"dilos/internal/sim"
+	"dilos/internal/telemetry"
 )
 
 func newSys(t testing.TB, frames int) (*System, *sim.Engine) {
@@ -15,6 +16,7 @@ func newSys(t testing.TB, frames int) (*System, *sim.Engine) {
 		Cores:       2,
 		RemoteBytes: 256 << 20,
 		Fabric:      fabric.DefaultParams(),
+		Tel:         telemetry.NewTotals(),
 	})
 	sys.Start()
 	return sys, eng
@@ -72,11 +74,11 @@ func TestDirectReclaimShowsInBreakdown(t *testing.T) {
 		}
 	})
 	eng.Run()
-	if sys.BD.Reclaim == 0 {
+	tot := sys.Tel.Totals(telemetry.KindMajorFault)
+	if tot.Stages[telemetry.StageReclaim] == 0 {
 		t.Fatal("direct reclamation never hit the fault path — not Fastswap-like")
 	}
-	_, _, _, _, r := sys.BD.Mean()
-	if r == 0 {
+	if tot.Mean(telemetry.StageReclaim) == 0 {
 		t.Fatal("mean reclaim segment is zero")
 	}
 }
@@ -91,12 +93,14 @@ func TestFaultLatencySlowerThanDiLOS(t *testing.T) {
 		}
 	})
 	eng.Run()
-	total := sys.BD.Total()
+	tot := sys.Tel.Totals(telemetry.KindMajorFault)
+	e, m, f := tot.Mean(telemetry.StageException), tot.Mean(telemetry.StageLookup), tot.Mean(telemetry.StageWait)
+	// Figure 1's columns: every stage but the readahead issue.
+	total := e + m + f + tot.Mean(telemetry.StageMap) + tot.Mean(telemetry.StageReclaim)
 	// Figure 1: the average Fastswap major fault is ≈6.3 µs.
 	if total < 5*sim.Microsecond || total > 8*sim.Microsecond {
 		t.Fatalf("mean major fault = %v, want ≈6.3us", total)
 	}
-	e, m, f, _, _ := sys.BD.Mean()
 	if e != 570*sim.Nanosecond {
 		t.Fatalf("exception = %v", e)
 	}

@@ -65,13 +65,10 @@ func (h *coreHandler) HandleFault(c *mmu.Core, vpn pagetable.VPN, write bool) {
 
 	// Major fault.
 	s.MajorFaults.Inc()
-	s.BD.N++
-	s.BD.Exception += c.Costs.Exception
 	mgmtStart := p.Now()
 	p.Advance(s.Costs.SwapMgmt)
 
-	reclaim0 := s.BD.Reclaim
-	frame := s.allocFrame(p, true)
+	frame, reclaimDur := s.allocFrame(p, true)
 	if e, ok := s.cache[vpn]; ok {
 		// allocFrame can yield inside direct reclamation; another core
 		// installed this page meanwhile. Free our frame and serve the
@@ -97,9 +94,7 @@ func (h *coreHandler) HandleFault(c *mmu.Core, vpn pagetable.VPN, write bool) {
 	}
 	// The swap-management segment is everything since entry except the
 	// direct-reclaim time (accounted separately, as Figure 1 does).
-	reclaimDur := s.BD.Reclaim - reclaim0
 	mgmtDur := (p.Now() - mgmtStart) - reclaimDur + s.Costs.KernelEntry
-	s.BD.SwapMgmt += mgmtDur
 	op := s.qps[h.coreID].Read(p.Now(), remote, s.Pool.Bytes(frame))
 	e.op = op
 
@@ -111,12 +106,10 @@ func (h *coreHandler) HandleFault(c *mmu.Core, vpn pagetable.VPN, write bool) {
 	tFetch := p.Now()
 	op.Wait(p)
 	e.op = nil
-	s.BD.Fetch += p.Now() - tFetch
 
 	tMap := p.Now()
 	p.Advance(s.Costs.Map)
 	s.mapEntry(vpn, e)
-	s.BD.Map += p.Now() - tMap
 	s.FaultLat.Record(p.Now() - t0)
 	s.lastFault = vpn
 	if s.Tel != nil {
@@ -173,7 +166,7 @@ func (s *System) readahead(p *sim.Proc, coreID int, vpn pagetable.VPN) {
 		if !ok {
 			continue
 		}
-		frame := s.allocFrame(p, false)
+		frame, _ := s.allocFrame(p, false)
 		if frame == dram.NoFrame {
 			break
 		}
@@ -188,9 +181,10 @@ func (s *System) readahead(p *sim.Proc, coreID int, vpn pagetable.VPN) {
 }
 
 // allocFrame takes a free frame, entering direct reclamation on the fault
-// path when the free list is too low and kswapd has fallen behind — the
-// Figure 1 "reclamation (direct)" segment.
-func (s *System) allocFrame(p *sim.Proc, demand bool) dram.FrameID {
+// path when the free list is too low and kswapd has fallen behind, and
+// returns the time that took — the Figure 1 "reclamation (direct)"
+// segment.
+func (s *System) allocFrame(p *sim.Proc, demand bool) (dram.FrameID, sim.Time) {
 	if s.Pool.FreeCount() <= s.lowWater {
 		s.needKswapd.Wake(p.Now())
 	}
@@ -202,29 +196,26 @@ func (s *System) allocFrame(p *sim.Proc, demand bool) dram.FrameID {
 		// collapse), and at a hard floor regardless.
 		free := s.Pool.FreeCount()
 		if s.dirtyPressure && free <= s.lowWater+s.cluster {
-			return dram.NoFrame
+			return dram.NoFrame, 0
 		}
 		if free <= s.lowWater/2 {
-			return dram.NoFrame
+			return dram.NoFrame, 0
 		}
 		id, ok := s.Pool.Alloc()
 		if !ok {
-			return dram.NoFrame
+			return dram.NoFrame, 0
 		}
-		return id
+		return id, 0
 	}
+	t0 := p.Now()
 	if s.Pool.FreeCount() <= s.directWater {
-		t0 := p.Now()
 		s.directReclaim(p)
-		s.BD.Reclaim += p.Now() - t0
 	}
 	for {
 		if id, ok := s.Pool.Alloc(); ok {
-			return id
+			return id, p.Now() - t0
 		}
-		t0 := p.Now()
 		s.directReclaim(p)
-		s.BD.Reclaim += p.Now() - t0
 	}
 }
 

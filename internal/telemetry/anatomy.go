@@ -1,12 +1,15 @@
 package telemetry
 
-import "dilos/internal/stats"
+import (
+	"dilos/internal/sim"
+	"dilos/internal/stats"
+)
 
-// FaultAnatomy aggregates every major-fault span in a recording into a
-// per-stage latency table — the live-run counterpart of the paper's
-// Figure 6 breakdown, with tails. Stage means are taken over all faults
-// (a stage that did not occur contributes zero), so the stage means sum
-// to the total mean and the table reads as an attribution.
+// FaultAnatomy reduces every major-fault span in a recording to a
+// per-stage latency table — the paper's Figure 6 breakdown, with tails.
+// Stage means are taken over all faults (a stage that did not occur
+// contributes zero), so the stage means sum to the total mean and the
+// table reads as an attribution.
 
 // StageStat is one stage row of the anatomy.
 type StageStat struct {
@@ -24,7 +27,9 @@ type Anatomy struct {
 	Stages  []StageStat `json:"stages"` // one per Stage, canonical order
 }
 
-// FaultAnatomy computes the anatomy over all KindMajorFault spans.
+// FaultAnatomy computes the anatomy of the KindMajorFault spans: counts
+// and means from the recorder's Totals (exact whatever the ring kept),
+// p99s from the spans the rings still hold.
 func FaultAnatomy(rec *Recorder) Anatomy {
 	total := stats.NewHistogram("total")
 	var stage [NumStages]*stats.Histogram
@@ -48,16 +53,19 @@ func FaultAnatomy(rec *Recorder) Anatomy {
 			dropped += rec.Dropped(id)
 		}
 	}
+	tot := rec.Totals(KindMajorFault)
 	a := Anatomy{
-		Faults:  total.Count(),
+		Faults:  int(tot.N),
 		Dropped: dropped,
-		MeanNs:  int64(total.Mean()),
 		P99Ns:   int64(total.P99()),
+	}
+	if tot.N > 0 {
+		a.MeanNs = int64(tot.Dur / sim.Time(tot.N))
 	}
 	for st := Stage(0); st < NumStages; st++ {
 		a.Stages = append(a.Stages, StageStat{
 			Stage:  StageNames[st],
-			MeanNs: int64(stage[st].Mean()),
+			MeanNs: int64(tot.Mean(st)),
 			P99Ns:  int64(stage[st].P99()),
 		})
 	}

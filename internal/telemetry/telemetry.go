@@ -44,13 +44,17 @@ const (
 	// KindSteal marks a reclaimer stealing work from another shard: the
 	// span sits on the thief's track and Arg carries the victim shard.
 	KindSteal
+	// KindPrefetchHit is a zero-length marker for an access that found its
+	// prefetched page already arrived but not yet mapped (a late-map hit):
+	// it lands on the faulting core's track with Arg = page number.
+	KindPrefetchHit
 
 	numKinds
 )
 
 var kindNames = [numKinds]string{
 	"major_fault", "minor_fault", "prefetch_map", "clean", "reclaim",
-	"read", "write", "retry", "migrate", "steal",
+	"read", "write", "retry", "migrate", "steal", "prefetch_hit",
 }
 
 func (k Kind) String() string {
@@ -137,15 +141,33 @@ type SamplePolicy struct {
 	KeepEvery int
 }
 
+// Totals are the exact sums over every span of one kind a recorder was
+// handed: ring wrap and sampling drop spans, never totals.
+type Totals struct {
+	N      int64
+	Dur    sim.Time
+	Stages [NumStages]sim.Time
+}
+
+// Mean returns the per-span mean of one stage (0 with no spans).
+func (t Totals) Mean(st Stage) sim.Time {
+	if t.N == 0 {
+		return 0
+	}
+	return t.Stages[st] / sim.Time(t.N)
+}
+
 // Recorder is the flight recorder: a set of named tracks (one per core,
-// one per daemon, one per fabric link), each a bounded drop-oldest ring.
-// The simulation is single-threaded by construction (procs hand off via
-// the engine), so the recorder is unsynchronised, like the stats package.
+// one per daemon, one per fabric link), each a bounded drop-oldest ring,
+// plus per-kind Totals. The simulation is single-threaded by construction
+// (procs hand off via the engine), so the recorder is unsynchronised, like
+// the stats package.
 type Recorder struct {
-	perTrack int
+	perTrack int // 0: totals only, no rings
 	tracks   []track
 	byName   map[string]int
 	policy   SamplePolicy
+	totals   [numKinds]Totals
 }
 
 // DefaultTrackCap is the per-track ring capacity when NewRecorder is
@@ -160,6 +182,13 @@ func NewRecorder(perTrackCap int) *Recorder {
 		perTrackCap = DefaultTrackCap
 	}
 	return &Recorder{perTrack: perTrackCap, byName: make(map[string]int)}
+}
+
+// NewTotals creates a recorder that keeps only the per-kind Totals: its
+// tracks hold no ring, so it allocates nothing per track and Spans is
+// always empty.
+func NewTotals() *Recorder {
+	return &Recorder{byName: make(map[string]int)}
 }
 
 // Track registers (or finds) a track by name and returns its id. Call at
@@ -180,11 +209,21 @@ func (r *Recorder) Track(name string) int {
 // switching policies mid-recording only affects subsequent emissions.
 func (r *Recorder) SetPolicy(p SamplePolicy) { r.policy = p }
 
-// Emit records a span on the given track, overwriting the oldest span if
-// the ring is full. Zero allocation, zero virtual time. Under an active
-// SamplePolicy, below-threshold spans are counted and mostly rejected
-// before touching the ring — the fast path of always-on mode.
+// Emit adds a span to its kind's Totals and records it on the given
+// track, overwriting the oldest span if the ring is full. Zero allocation,
+// zero virtual time. Under an active SamplePolicy, below-threshold spans
+// are counted and mostly rejected before touching the ring — the fast
+// path of always-on mode.
 func (r *Recorder) Emit(tr int, s Span) {
+	tot := &r.totals[s.Kind]
+	tot.N++
+	tot.Dur += s.End - s.Start
+	for st, d := range s.Stages {
+		tot.Stages[st] += d
+	}
+	if r.perTrack == 0 {
+		return
+	}
 	t := &r.tracks[tr]
 	if r.policy.KeepEvery > 1 && s.End-s.Start < r.policy.Threshold {
 		t.below++
@@ -204,6 +243,9 @@ func (r *Recorder) Emit(tr int, s Span) {
 	}
 	t.dropped++
 }
+
+// Totals returns the sums over every span of kind k emitted so far.
+func (r *Recorder) Totals(k Kind) Totals { return r.totals[k] }
 
 // Tracks returns the track names in registration order (track id is the
 // index into this slice).

@@ -166,3 +166,32 @@ func TestFaultAnatomy(t *testing.T) {
 		t.Fatalf("stage means sum to %d, total mean %d", sum, a.MeanNs)
 	}
 }
+
+// Totals count every emitted span, whatever the ring and the sampling
+// policy keep — the exactness Figure 1/6 rely on.
+func TestTotalsSurviveRingWrapAndSampling(t *testing.T) {
+	rec := NewRecorder(2)
+	tr := rec.Track("core0")
+	rec.SetPolicy(SamplePolicy{Threshold: 10 * sim.Microsecond, KeepEvery: 4})
+	var want Totals
+	for i := 0; i < 50; i++ {
+		sp := Span{Kind: KindMajorFault, Start: sim.Time(i) * 100, End: sim.Time(i)*100 + sim.Time(i)}
+		sp.Stages[StageWait] = sim.Time(i)
+		rec.Emit(tr, sp)
+		want.N++
+		want.Dur += sim.Time(i)
+		want.Stages[StageWait] += sim.Time(i)
+	}
+	if rec.Dropped(tr) == 0 || rec.SampledOut(tr) == 0 {
+		t.Fatalf("dropped %d, sampled out %d; the test needs both", rec.Dropped(tr), rec.SampledOut(tr))
+	}
+	if got := rec.Totals(KindMajorFault); got != want {
+		t.Fatalf("totals = %+v, want %+v", got, want)
+	}
+	if got := rec.Totals(KindMajorFault).Mean(StageWait); got != want.Stages[StageWait]/50 {
+		t.Fatalf("wait mean = %v, want %v", got, want.Stages[StageWait]/50)
+	}
+	if got := FaultAnatomy(rec).Faults; got != 50 {
+		t.Fatalf("anatomy faults = %d, want 50", got)
+	}
+}
