@@ -90,8 +90,9 @@ type faultEvent struct {
 // loadFaults reads the fault-track events of a Perfetto timeline written
 // by tracetool timeline, ddcrun -trace-out or dilosbench -trace-out: the
 // major_fault, minor_fault and prefetch_hit events on the fault/core<N>
-// tracks, ordered by time (ties by core).
-func loadFaults(path string) []faultEvent {
+// tracks, ordered by time (ties by core), and how many spans those tracks
+// dropped to ring wrap (their thread_name args.dropped).
+func loadFaults(path string) ([]faultEvent, int64) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -104,8 +105,9 @@ func loadFaults(path string) []faultEvent {
 			Ts   float64 `json:"ts"`
 			Name string  `json:"name"`
 			Args struct {
-				Name string `json:"name"`
-				Page *int64 `json:"page"`
+				Name    string `json:"name"`
+				Page    *int64 `json:"page"`
+				Dropped int64  `json:"dropped"`
 			} `json:"args"`
 		} `json:"traceEvents"`
 	}
@@ -114,6 +116,7 @@ func loadFaults(path string) []faultEvent {
 		os.Exit(1)
 	}
 	coreOf := map[int]int{} // tid → core, fault tracks only
+	var dropped int64
 	for _, ev := range doc.TraceEvents {
 		if ev.Ph != "M" || ev.Name != "thread_name" {
 			continue
@@ -121,6 +124,7 @@ func loadFaults(path string) []faultEvent {
 		if n, ok := strings.CutPrefix(ev.Args.Name, "fault/core"); ok {
 			if c, err := strconv.Atoi(n); err == nil {
 				coreOf[ev.Tid] = c
+				dropped += ev.Args.Dropped
 			}
 		}
 	}
@@ -141,7 +145,16 @@ func loadFaults(path string) []faultEvent {
 		}
 		return events[i].core < events[j].core
 	})
-	return events
+	return events, dropped
+}
+
+// droppedNote is the line stats prints when the fault tracks lost spans to
+// ring wrap, or "" when they kept every span.
+func droppedNote(dropped int64) string {
+	if dropped == 0 {
+		return ""
+	}
+	return fmt.Sprintf("  fault tracks dropped %d spans to ring wrap: every count below is a lower bound\n", dropped)
 }
 
 // kindCounts tallies fault events by kind.
@@ -210,13 +223,15 @@ func statsCmd(args []string) {
 		usage()
 	}
 	path := fs.Arg(0)
-	events := loadFaults(path)
+	events, dropped := loadFaults(path)
 	if *byCore {
 		statsByCore(path, events)
+		fmt.Print(droppedNote(dropped))
 		return
 	}
 	sum := summarize(events)
 	fmt.Printf("%s: %d fault events over %d pages\n", path, len(events), sum.pages)
+	fmt.Print(droppedNote(dropped))
 	fmt.Printf("  major=%d minor=%d hit=%d\n", sum.major, sum.minor, sum.hit)
 	if sum.transitions > 0 {
 		fmt.Printf("  sequential transitions: %.1f%%; top stride %d (%.1f%%)\n",

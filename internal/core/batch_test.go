@@ -105,34 +105,42 @@ func TestBatchedChaosSameSeedDeterminism(t *testing.T) {
 	}
 }
 
-// The batched fault path reuses per-core scratch: steady-state sequential
-// faulting must not grow allocations per page. The bound is not zero —
-// every RDMA op is itself allocated (fabric.Op) and prefetch slots grow
-// the slot table on first use — but it must stay small and flat.
+// The fault path reuses per-core scratch in both submission modes:
+// steady-state sequential faulting must not grow allocations per page. The
+// bound is not zero — every RDMA op is itself allocated (fabric.Op) and
+// prefetch slots grow the slot table on first use — but it must stay small
+// and flat. Measured 3.15 per page per-op, 3.22 batched: the fabric.Op, its
+// completion timer, and page-table/LRU churn from the evictions a 12.5 %
+// cache forces. One extra allocation per page would trip the bound.
 func TestBatchedFaultPathAllocs(t *testing.T) {
-	const pages = 8192
-	sys, eng := batchSys(true, 256, nil)
-	sys.Launch("alloc", 0, func(sp *DDCProc) {
-		base, _ := sys.MmapDDC(pages)
-		for i := uint64(0); i < pages; i++ {
-			sp.StoreU64(base+i*PageSize, i)
-		}
-		// Warm up: size the scratch arenas and slot table.
-		for i := uint64(0); i < 1024; i++ {
-			sp.LoadU64(base + i*PageSize)
-		}
-		cursor := uint64(1024)
-		avg := testing.AllocsPerRun(4, func() {
-			for end := cursor + 1024; cursor < end; cursor++ {
-				sp.LoadU64(base + cursor*PageSize)
-			}
+	for _, c := range []struct {
+		name    string
+		batched bool
+	}{{"per-op", false}, {"batched", true}} {
+		t.Run(c.name, func(t *testing.T) {
+			const pages = 8192
+			sys, eng := batchSys(c.batched, 256, nil)
+			sys.Launch("alloc", 0, func(sp *DDCProc) {
+				base, _ := sys.MmapDDC(pages)
+				for i := uint64(0); i < pages; i++ {
+					sp.StoreU64(base+i*PageSize, i)
+				}
+				// Warm up: size the scratch arenas and slot table.
+				for i := uint64(0); i < 1024; i++ {
+					sp.LoadU64(base + i*PageSize)
+				}
+				cursor := uint64(1024)
+				avg := testing.AllocsPerRun(4, func() {
+					for end := cursor + 1024; cursor < end; cursor++ {
+						sp.LoadU64(base + cursor*PageSize)
+					}
+				})
+				t.Logf("%.2f allocs per page", avg/1024)
+				if perPage := avg / 1024; perPage > 3.5 {
+					t.Errorf("fault path allocates %.2f/page, want ≤ 3.5", perPage)
+				}
+			})
+			eng.Run()
 		})
-		// Measured ≈3.2: the fabric.Op, its completion timer, and page-
-		// table/LRU churn from the evictions a 12.5 % cache forces. One
-		// extra allocation per page would trip the bound.
-		if perPage := avg / 1024; perPage > 3.5 {
-			t.Errorf("fault path allocates %.2f/page, want ≤ 3.5", perPage)
-		}
-	})
-	eng.Run()
+	}
 }

@@ -18,14 +18,27 @@ import (
 // aliases keep the Fastswap stress test readable inside this package.
 type fastswapProcAlias = fastswap.FSProc
 
-func fastswapSysForStress(eng *sim.Engine) *fastswap.System {
+func fastswapSysForStress(eng *sim.Engine, frames, cores int) *fastswap.System {
 	sys := fastswap.New(eng, fastswap.Config{
-		CacheFrames: 48, Cores: 4, RemoteBytes: 64 << 20,
+		CacheFrames: frames, Cores: cores, RemoteBytes: 64 << 20,
 		Fabric: fabric.DefaultParams(),
 	})
 	sys.Start()
 	return sys
 }
+
+// overlapStress is the input table of the overlapping-fault stress tests:
+// cache sizes × worker counts. Each cell opens a different interleaving of
+// two cores faulting, mapping and evicting the same page, so a race shows
+// in some cells and not in others.
+var overlapStress = func() (cells []struct{ frames, workers int }) {
+	for _, frames := range []int{24, 32, 40, 48, 56, 64, 80, 96, 128, 160, 192, 256} {
+		for workers := 2; workers <= 4; workers++ {
+			cells = append(cells, struct{ frames, workers int }{frames, workers})
+		}
+	}
+	return cells
+}()
 
 func newSys(t testing.TB, frames int, pf prefetch.Prefetcher) (*System, *sim.Engine) {
 	t.Helper()
@@ -587,72 +600,78 @@ func TestMmapExhaustionPropagates(t *testing.T) {
 }
 
 func TestMultiCoreOverlappingFaultStress(t *testing.T) {
-	// Regression test for the concurrent-major race: four threads hammer
-	// the same small region with a tiny cache (AllocFrame yields under
+	// Regression test for the concurrent-major race: the threads hammer the
+	// same small region with a tiny cache (AllocFrame yields under
 	// pressure, opening the window where two cores could fetch one page).
-	eng := sim.New()
-	sys := New(eng, Config{
-		CacheFrames: 48, Cores: 4, RemoteBytes: 64 << 20,
-		Fabric: fabric.DefaultParams(), Prefetcher: prefetch.NewTrend(),
-	})
-	sys.Start()
-	const pages = 192
-	base, _ := sys.MmapDDC(pages)
-	// Thread w owns words at offset w*8 within each page; everyone walks
-	// all pages in different orders.
-	for w := 0; w < 4; w++ {
-		w := w
-		sys.Launch("stress", w, func(sp *DDCProc) {
-			rng := rand.New(rand.NewSource(int64(w + 1)))
-			for round := 0; round < 4; round++ {
-				perm := rng.Perm(pages)
-				for _, pg := range perm {
-					addr := base + uint64(pg)*PageSize + uint64(w)*8
-					sp.StoreU64(addr, uint64(w)<<32|uint64(pg))
-				}
-				for _, pg := range perm {
-					addr := base + uint64(pg)*PageSize + uint64(w)*8
-					if got := sp.LoadU64(addr); got != uint64(w)<<32|uint64(pg) {
-						t.Errorf("worker %d round %d page %d: got %#x", w, round, pg, got)
-						return
-					}
-				}
+	for _, c := range overlapStress {
+		t.Run(fmt.Sprintf("frames%d/workers%d", c.frames, c.workers), func(t *testing.T) {
+			eng := sim.New()
+			sys := New(eng, Config{
+				CacheFrames: c.frames, Cores: c.workers, RemoteBytes: 64 << 20,
+				Fabric: fabric.DefaultParams(), Prefetcher: prefetch.NewTrend(),
+			})
+			sys.Start()
+			const pages = 192
+			base, _ := sys.MmapDDC(pages)
+			// Thread w owns words at offset w*8 within each page; everyone
+			// walks all pages in different orders.
+			for w := 0; w < c.workers; w++ {
+				w := w
+				sys.Launch("stress", w, func(sp *DDCProc) {
+					overlapWorker(t, sp, base, pages, w, int64(w+1), 4)
+				})
+			}
+			eng.Run()
+			// Frame conservation: nothing leaked to the pool across the chaos.
+			if sys.Pool.FreeCount()+sys.Pool.Used() != c.frames {
+				t.Fatal("frame conservation violated")
 			}
 		})
-	}
-	eng.Run()
-	// Frame conservation: nothing leaked to the pool across the chaos.
-	if sys.Pool.FreeCount()+sys.Pool.Used() != 48 {
-		t.Fatal("frame conservation violated")
 	}
 }
 
+// TestFastswapMultiCoreOverlappingFaultStress runs the same pattern over
+// Fastswap, whose swap cache lets a second core map a page another core
+// has already mapped and dirtied.
 func TestFastswapMultiCoreOverlappingFaultStress(t *testing.T) {
-	eng := sim.New()
-	fsys := fastswapSysForStress(eng)
-	const pages = 192
-	base, _ := fsys.MmapDDC(pages)
-	for w := 0; w < 4; w++ {
-		w := w
-		fsys.Launch("stress", w, func(sp *fastswapProcAlias) {
-			rng := rand.New(rand.NewSource(int64(w + 7)))
-			for round := 0; round < 3; round++ {
-				perm := rng.Perm(pages)
-				for _, pg := range perm {
-					addr := base + uint64(pg)*PageSize + uint64(w)*8
-					sp.StoreU64(addr, uint64(w)<<32|uint64(pg))
-				}
-				for _, pg := range perm {
-					addr := base + uint64(pg)*PageSize + uint64(w)*8
-					if got := sp.LoadU64(addr); got != uint64(w)<<32|uint64(pg) {
-						t.Errorf("worker %d round %d page %d: got %#x", w, round, pg, got)
-						return
-					}
-				}
+	for _, c := range overlapStress {
+		t.Run(fmt.Sprintf("frames%d/workers%d", c.frames, c.workers), func(t *testing.T) {
+			eng := sim.New()
+			fsys := fastswapSysForStress(eng, c.frames, c.workers)
+			const pages = 192
+			base, _ := fsys.MmapDDC(pages)
+			for w := 0; w < c.workers; w++ {
+				w := w
+				fsys.Launch("stress", w, func(sp *fastswapProcAlias) {
+					overlapWorker(t, sp, base, pages, w, int64(w+7), 3)
+				})
 			}
+			eng.Run()
 		})
 	}
-	eng.Run()
+}
+
+// overlapWorker stores worker w's word into every page in a seeded random
+// order, then reads each back, for the given number of rounds.
+func overlapWorker(t *testing.T, sp interface {
+	StoreU64(addr, v uint64)
+	LoadU64(addr uint64) uint64
+}, base uint64, pages, w int, seed int64, rounds int) {
+	rng := rand.New(rand.NewSource(seed))
+	for round := 0; round < rounds; round++ {
+		perm := rng.Perm(pages)
+		for _, pg := range perm {
+			addr := base + uint64(pg)*PageSize + uint64(w)*8
+			sp.StoreU64(addr, uint64(w)<<32|uint64(pg))
+		}
+		for _, pg := range perm {
+			addr := base + uint64(pg)*PageSize + uint64(w)*8
+			if got := sp.LoadU64(addr); got != uint64(w)<<32|uint64(pg) {
+				t.Errorf("worker %d round %d page %d: got %#x", w, round, pg, got)
+				return
+			}
+		}
+	}
 }
 
 func TestReplicaFetchesCountedAtFetchSiteOnly(t *testing.T) {

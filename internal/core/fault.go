@@ -472,19 +472,23 @@ func (s *System) runPrefetch(p *sim.Proc, coreID int, vpn pagetable.VPN, major b
 // SchedulePrefetch issues page prefetches for every target that is
 // currently Remote (others are skipped — already local or in flight). It
 // is also the entry point app-aware guides use to request pages (§4.3).
-// With Config.Batch the whole window is posted per node through one
-// doorbell (fabric.QP.Submit), contiguous remote offsets coalesced into
-// vectored reads; otherwise each page is a solo qp.Read.
+//
+// The window is walked in target order with no yield anywhere (Advance
+// and Wake never yield), which keeps the Fetching-PTE invariant: every
+// published prefetch slot has its op installed before any other process
+// can run. Each accepted page gets a pinned frame and a Fetching PTE, and
+// its read goes out when issuePrefetch rings the doorbell — at once in
+// per-op mode, per batchChunk targets with Config.Batch. All intermediate
+// state lives in the core's scratch arena, so a fault in steady state
+// allocates nothing beyond the ops themselves.
 func (s *System) SchedulePrefetch(p *sim.Proc, coreID int, targets []pagetable.VPN) {
 	if len(targets) == 0 {
 		return
 	}
-	if s.Batch {
-		s.schedulePrefetchBatched(p, coreID, targets)
-		return
-	}
-	var noted []pagetable.VPN
-	for _, t := range targets {
+	sc := &s.pfScratch[coreID]
+	sc.noted = sc.noted[:0]
+	for i, t := range targets {
+		s.issuePrefetch(p, coreID, sc, i%batchChunk == 0)
 		p.Advance(s.Costs.PrefetchFilter)
 		if s.Table.Lookup(t).Tag() != pagetable.TagRemote {
 			continue
@@ -493,7 +497,6 @@ func (s *System) SchedulePrefetch(p *sim.Proc, coreID int, targets []pagetable.V
 		if !ok {
 			continue
 		}
-		qp := s.Hubs[node].QP(coreID, comm.ModPrefetch)
 		frame, ok := s.Mgr.TryAllocFrame(p)
 		if !ok {
 			break // no headroom: prefetching must not force reclamation
@@ -501,15 +504,13 @@ func (s *System) SchedulePrefetch(p *sim.Proc, coreID int, targets []pagetable.V
 		s.Pool.Meta(frame).Pinned = true
 		slot := s.newSlot(t, frame)
 		s.Table.Set(t, pagetable.Fetching(slot))
-		op := qp.Read(p.Now(), remote, s.Pool.Bytes(frame))
-		s.slots[slot].op = op
-		s.pfQueue[coreID] = append(s.pfQueue[coreID], pfItem{slot: slot, gen: s.slots[slot].gen})
+		sc.items = append(sc.items, pfIssue{node: node, off: remote, buf: s.Pool.Bytes(frame), slot: slot, gen: s.slots[slot].gen})
 		s.Prefetches.Inc()
-		noted = append(noted, t)
-		p.Advance(s.Costs.PrefetchIssue)
+		sc.noted = append(sc.noted, t)
 	}
-	if len(noted) > 0 {
-		s.Track.Note(noted)
+	s.issuePrefetch(p, coreID, sc, true)
+	if len(sc.noted) > 0 {
+		s.Track.Note(sc.noted)
 		s.pfWaiter[coreID].Wake(p.Now())
 	}
 }
@@ -523,119 +524,90 @@ func (s *System) SchedulePrefetch(p *sim.Proc, coreID int, targets []pagetable.V
 // while still amortizing the doorbell across the tail.
 const batchChunk = 8
 
-// schedulePrefetchBatched is the doorbell-batched prefetch issue. The
-// window is processed in chunks of batchChunk targets; each chunk runs in
-// two phases with no yield anywhere (Advance and Wake never yield), which
-// is what keeps the Fetching-PTE invariant: every published prefetch slot
-// has its op installed before any other process can run.
-//
-//	Phase 1: filter the chunk's targets, allocate + pin frames, publish
-//	         Fetching PTEs, record the (node, offset, buffer, slot) tuples.
-//	Phase 2: per node, post the chunk through one doorbell and install
-//	         each resulting op into the slot its page came from.
+// issuePrefetch posts the pending prefetch reads and queues them for the
+// core's mapper; it is where Config.Batch is read. SchedulePrefetch calls
+// it before each target and at the end of the window. Per-op mode issues
+// the page accepted last as a solo qp.Read at once. Batched mode waits
+// until chunkEnd (every batchChunk targets, and at the end of the window),
+// then posts each node's pages through one doorbell.
 //
 // Each page keeps its own work-queue entry (and so its own completion
 // time) on purpose: coalescing prefetch reads into vectored ops would make
 // the first page of every vector complete as late as the last, delaying
 // its mapping and stretching exactly the minor-fault waits prefetching
-// exists to hide. Offset coalescing pays off on the cleaner's write-backs,
-// where only the final completion is ever waited on.
-//
-// All intermediate state lives in the core's scratch arena — a fault in
-// steady state allocates nothing beyond the ops themselves.
-func (s *System) schedulePrefetchBatched(p *sim.Proc, coreID int, targets []pagetable.VPN) {
-	sc := &s.pfScratch[coreID]
-	sc.noted = sc.noted[:0]
+// exists to hide. Offset coalescing pays off on write-backs, where only
+// the final completion is ever waited on.
+func (s *System) issuePrefetch(p *sim.Proc, coreID int, sc *pfScratch, chunkEnd bool) {
+	switch {
+	case len(sc.items) == 0:
+		return
+	case !s.Batch:
+		for i := range sc.items {
+			it := &sc.items[i]
+			s.slots[it.slot].op = s.Hubs[it.node].QP(coreID, comm.ModPrefetch).Read(p.Now(), it.off, it.buf)
+			p.Advance(s.Costs.PrefetchIssue)
+		}
+	case chunkEnd:
+		s.submitPrefetch(p, coreID, sc)
+	default:
+		return
+	}
+	// The mapper queue gets the pages in *target* order, not node-grouped
+	// submission order: the app walks pages in target order, and a queue
+	// grouped by node would leave the head blocked on one link while pages
+	// from another node sit completed but unmapped — every such access
+	// would pay the map cost on the app core.
+	for i := range sc.items {
+		it := &sc.items[i]
+		s.pfQueue[coreID] = append(s.pfQueue[coreID], pfItem{slot: it.slot, gen: it.gen})
+	}
+	sc.items = sc.items[:0]
+}
+
+// submitPrefetch posts the pending pages per node, in first-appearance
+// order so runs stay deterministic, each node's through one doorbell, and
+// installs each resulting op into the slot its page came from.
+func (s *System) submitPrefetch(p *sim.Proc, coreID int, sc *pfScratch) {
 	if cap(sc.segs) < batchChunk {
 		// Reserve the seg arena so per-node appends never reallocate under
 		// the Req subslices pointing into it.
 		sc.segs = make([]fabric.Seg, 0, batchChunk)
 	}
-	for len(targets) > 0 {
-		chunk := targets
-		if len(chunk) > batchChunk {
-			chunk = chunk[:batchChunk]
-		}
-		targets = targets[len(chunk):]
-		sc.items = sc.items[:0]
-		for _, t := range chunk {
-			p.Advance(s.Costs.PrefetchFilter)
-			if s.Table.Lookup(t).Tag() != pagetable.TagRemote {
-				continue
-			}
-			node, remote, ok := s.remoteOf(t)
-			if !ok {
-				continue
-			}
-			frame, ok := s.Mgr.TryAllocFrame(p)
-			if !ok {
-				targets = nil // no headroom: prefetching must not force reclamation
+	for done := 0; done < len(sc.items); {
+		// Next unsubmitted node (O(items·nodes), tiny factors).
+		node := -1
+		for _, it := range sc.items {
+			if it.node >= 0 {
+				node = it.node
 				break
 			}
-			s.Pool.Meta(frame).Pinned = true
-			slot := s.newSlot(t, frame)
-			s.Table.Set(t, pagetable.Fetching(slot))
-			sc.items = append(sc.items, pfIssue{node: node, off: remote, buf: s.Pool.Bytes(frame), slot: slot, gen: s.slots[slot].gen})
-			s.Prefetches.Inc()
-			sc.noted = append(sc.noted, t)
 		}
-		if len(sc.items) == 0 {
-			continue
-		}
-		done := 0
-		for done < len(sc.items) {
-			// Next unsubmitted node, preserving first-appearance order so
-			// runs stay deterministic (O(items·nodes), tiny factors).
-			node := -1
-			for _, it := range sc.items {
-				if it.node >= 0 && (node == -1 || it.node == node) {
-					node = it.node
-					break
-				}
-			}
-			sc.segs = sc.segs[:0]
-			sc.reqs = sc.reqs[:0]
-			sc.ops = sc.ops[:0]
-			qp := s.Hubs[node].QP(coreID, comm.ModPrefetch)
-			for i := range sc.items {
-				if it := &sc.items[i]; it.node == node {
-					sc.segs = append(sc.segs, fabric.Seg{Off: it.off, Buf: it.buf})
-					sc.reqs = append(sc.reqs, fabric.Req{Kind: fabric.OpRead, Segs: sc.segs[len(sc.segs)-1:]})
-				}
-			}
-			for r := range sc.reqs {
-				if r == 0 {
-					p.Advance(s.Costs.PrefetchIssue)
-				} else {
-					p.Advance(s.Costs.PrefetchWQE)
-				}
-			}
-			sc.ops = qp.Submit(p.Now(), sc.reqs, sc.ops)
-			// Requests carry this node's pages in order; hand each op to
-			// the slot its page came from.
-			r := 0
-			for i := range sc.items {
-				if it := &sc.items[i]; it.node == node {
-					s.slots[it.slot].op = sc.ops[r]
-					it.node = -1 // submitted
-					done++
-					r++
-				}
-			}
-		}
-		// The mapper queue gets the chunk in *target* order, not node-
-		// grouped submission order: the app walks pages in target order,
-		// and a queue grouped by node would leave the head blocked on one
-		// link while pages from another node sit completed but unmapped —
-		// every such access would pay the map cost on the app core.
+		sc.segs, sc.reqs = sc.segs[:0], sc.reqs[:0]
 		for i := range sc.items {
-			it := &sc.items[i]
-			s.pfQueue[coreID] = append(s.pfQueue[coreID], pfItem{slot: it.slot, gen: it.gen})
+			if it := &sc.items[i]; it.node == node {
+				sc.segs = append(sc.segs, fabric.Seg{Off: it.off, Buf: it.buf})
+				sc.reqs = append(sc.reqs, fabric.Req{Kind: fabric.OpRead, Segs: sc.segs[len(sc.segs)-1:]})
+			}
 		}
-	}
-	if len(sc.noted) > 0 {
-		s.Track.Note(sc.noted)
-		s.pfWaiter[coreID].Wake(p.Now())
+		for r := range sc.reqs {
+			if r == 0 {
+				p.Advance(s.Costs.PrefetchIssue)
+			} else {
+				p.Advance(s.Costs.PrefetchWQE)
+			}
+		}
+		sc.ops = s.Hubs[node].QP(coreID, comm.ModPrefetch).Submit(p.Now(), sc.reqs, sc.ops[:0])
+		// Requests carry this node's pages in order; hand each op to the
+		// slot its page came from.
+		r := 0
+		for i := range sc.items {
+			if it := &sc.items[i]; it.node == node {
+				s.slots[it.slot].op = sc.ops[r]
+				it.node = -1 // submitted
+				done++
+				r++
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"dilos/internal/dalloc"
 	"dilos/internal/dram"
 	"dilos/internal/fabric"
 	"dilos/internal/pagetable"
@@ -96,6 +97,49 @@ func TestPageOutRangeSkipsPinned(t *testing.T) {
 		}
 		if got := sp.LoadU64(base); got != 0 {
 			t.Fatalf("pinned page content %#x, want 0", got)
+		}
+	})
+	eng.Run()
+}
+
+// TestPageOutRangeAfterGuidedClean: a page the cleaner wrote back guided
+// carries that clean's live-chunk vector. An object allocated on the page
+// afterwards is outside the vector, so a PageOutRange that writes the
+// page back must replace the vector too, or the page leaves as an Action
+// PTE that refetches only the old chunks and the new object reads back 0.
+func TestPageOutRangeAfterGuidedClean(t *testing.T) {
+	fw := &forwardGuide{}
+	eng := sim.New()
+	sys := New(eng, Config{
+		CacheFrames:   256,
+		Cores:         1,
+		RemoteBytes:   16 << 20,
+		Fabric:        fabric.DefaultParams(),
+		EvictionGuide: fw,
+	})
+	sys.Start()
+	sys.Launch("app", 0, func(sp *DDCProc) {
+		alloc := dalloc.New(sp)
+		fw.g = alloc
+		a := alloc.Alloc(64)
+		sp.StoreU64(a, 0xaaaa)
+		sp.Proc().Sleep(200 * sim.Microsecond) // the cleaner writes the page back guided
+		if sys.Mgr.VectorSaves.N == 0 {
+			t.Fatal("the cleaner wrote no guided vector")
+		}
+		b := alloc.Alloc(64)
+		if pagetable.VPNOf(a) != pagetable.VPNOf(b) {
+			t.Fatalf("objects on different pages: %#x, %#x", a, b)
+		}
+		sp.StoreU64(b, 0xbbbb)
+		if n := sys.PageOutRange(sp.Proc(), sp.CoreID(), b, 64); n != 1 {
+			t.Fatalf("PageOutRange evicted %d pages, want 1", n)
+		}
+		if got := sp.LoadU64(a); got != 0xaaaa {
+			t.Errorf("a read back %#x, want 0xaaaa", got)
+		}
+		if got := sp.LoadU64(b); got != 0xbbbb {
+			t.Errorf("b read back %#x, want 0xbbbb", got)
 		}
 	})
 	eng.Run()

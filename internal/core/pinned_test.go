@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"dilos/internal/dalloc"
 	"dilos/internal/fabric"
 	"dilos/internal/migrate"
 	"dilos/internal/prefetch"
@@ -24,10 +25,17 @@ import (
 //	    cores storing to random pages;
 //	(c) run (b) with the migration engine armed: mid-run a third node
 //	    joins (a drain needs a destination hosting no replica) and node 1
-//	    drains onto it.
+//	    drains onto it;
+//	(d) guided paging, per-op, shaped like Figure 12: one core fills a
+//	    dalloc heap of small objects at a 25 % cache, frees most of them,
+//	    lets the daemons drain, then reads a sample back;
+//	(e) application-directed page-out, batched and unguided, shaped like
+//	    ext12: a core writes layer-sized ranges, pushes each out with
+//	    PageOutRange, and reads them back through readahead.
 //
 // Together they cover the cleaner/reclaimer daemon start (legacy pair and
-// per-shard pairs), fabric scheduling, the frame pool, and migration.
+// per-shard pairs), guided and plain write-back, PageOutRange, fabric
+// scheduling, the frame pool, and migration.
 func TestModelPinned(t *testing.T) {
 	cases := []struct {
 		name string
@@ -38,6 +46,8 @@ func TestModelPinned(t *testing.T) {
 		{"seqread-default", pinnedSeqRead, 2024254, 0x107b1d80cde22c7c},
 		{"sharded-batched-replicated", func(t *testing.T) (sim.Time, []byte) { return pinnedRandStore(t, false) }, 2590671, 0xdd1e8e2f94bd5eb5},
 		{"sharded-batched-replicated-drain", func(t *testing.T) (sim.Time, []byte) { return pinnedRandStore(t, true) }, 2588222, 0xc49de736cf683f31},
+		{"guided-perop", pinnedGuided, 3530534, 0x4e1fabed9855723b},
+		{"pageout-batched", pinnedPageOut, 1661779, 0xbff27d93b40f3494},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -139,5 +149,91 @@ func pinnedRandStore(t *testing.T, drain bool) (sim.Time, []byte) {
 	if drain && (sys.Mig.PagesMoved.N == 0 || sys.Mig.DrainsDone.N != 1) {
 		t.Errorf("drain did not complete: moved=%d drains_done=%d", sys.Mig.PagesMoved.N, sys.Mig.DrainsDone.N)
 	}
+	return eng.Now(), pinnedSnapshot(t, sys)
+}
+
+func pinnedGuided(t *testing.T) (sim.Time, []byte) {
+	const objs, size = 4000, 128
+	fw := &forwardGuide{}
+	eng := sim.New()
+	sys := New(eng, Config{
+		CacheFrames:   objs * size / PageSize / 4,
+		Cores:         1,
+		RemoteBytes:   16 << 20,
+		Fabric:        fabric.DefaultParams(),
+		EvictionGuide: fw,
+	})
+	sys.Start()
+	sys.Launch("heap", 0, func(sp *DDCProc) {
+		alloc := dalloc.New(sp)
+		fw.g = alloc
+		addrs := make([]uint64, objs)
+		for i := range addrs {
+			addrs[i] = alloc.Alloc(size)
+			sp.StoreU64(addrs[i], uint64(i)*31+7)
+		}
+		lcg := uint64(29)
+		live := make([]bool, objs)
+		for i := range addrs {
+			lcg = lcg*6364136223846793005 + 1442695040888963407
+			if live[i] = (lcg>>33)%10 >= 7; !live[i] {
+				alloc.Free(addrs[i])
+			}
+		}
+		sp.Proc().Sleep(2 * sim.Millisecond)
+		for i := 0; i < objs; i += 3 {
+			if live[i] {
+				if got := sp.LoadU64(addrs[i]); got != uint64(i)*31+7 {
+					t.Errorf("object %d: got %d", i, got)
+					return
+				}
+			}
+		}
+	})
+	eng.Run()
+	if sys.Mgr.VectorSaves.N == 0 {
+		t.Error("guide never engaged")
+	}
+	return eng.Now(), pinnedSnapshot(t, sys)
+}
+
+func pinnedPageOut(t *testing.T) (sim.Time, []byte) {
+	const layers, layerPages = 8, 32
+	eng := sim.New()
+	sys := New(eng, Config{
+		CacheFrames: layers * layerPages / 2,
+		Cores:       2,
+		RemoteBytes: 16 << 20,
+		Fabric:      fabric.DefaultParams(),
+		Prefetcher:  prefetch.NewReadahead(0),
+		Batch:       true,
+	})
+	sys.Start()
+	sys.Launch("kv", 0, func(sp *DDCProc) {
+		base, err := sys.MmapDDC(layers * layerPages)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for round := uint64(0); round < 3; round++ {
+			for l := uint64(0); l < layers; l++ {
+				lb := base + l*layerPages*PageSize
+				for i := uint64(0); i < layerPages; i++ {
+					sp.StoreU64(lb+i*PageSize, round<<32|l<<16|i)
+				}
+				sys.PageOutRange(sp.Proc(), sp.CoreID(), lb, layerPages*PageSize)
+			}
+			for l := uint64(0); l < layers; l++ {
+				lb := base + l*layerPages*PageSize
+				for i := uint64(0); i < layerPages; i++ {
+					if got := sp.LoadU64(lb + i*PageSize); got != round<<32|l<<16|i {
+						t.Errorf("round %d layer %d page %d: got %#x", round, l, i, got)
+						return
+					}
+				}
+			}
+		}
+	})
+	eng.Run()
 	return eng.Now(), pinnedSnapshot(t, sys)
 }

@@ -146,12 +146,15 @@ type Config struct {
 	// monitor daemons, fetch retry/failover, and re-replication. Without it
 	// the system behaves exactly as before — ops never fail.
 	Chaos *chaos.Injector
-	// Batch enables doorbell-batched submission on the hot I/O paths: the
-	// prefetcher posts its whole window per node through one doorbell
-	// (fabric.QP.Submit) with contiguous remote offsets coalesced into
-	// vectored reads, and the page manager's cleaner/reclaimer batch their
-	// write-backs (replicas included) the same way. Off by default so the
-	// per-op calibration numbers are unchanged; ext5 measures the win.
+	// Batch decides only when the doorbell rings on the two issue paths;
+	// each path is one loop either way. Off (the default, so the per-op
+	// calibration numbers hold), every prefetch read and every write-back
+	// write goes out as a solo op the moment its page is reached. On, the
+	// prefetcher posts each node's pages through one doorbell
+	// (fabric.QP.Submit) every batchChunk targets, and the page manager's
+	// write-backs — cleaner, reclaimer and PageOutRange, replicas included
+	// — post one doorbell per queue pair at the end of a sweep, contiguous
+	// remote offsets coalesced into vectored writes. ext5 measures both.
 	Batch bool
 	// Migrate, when set, starts the elastic-pool migration engine
 	// (internal/migrate): System.Drain evacuates a node for removal,
@@ -269,7 +272,7 @@ type System struct {
 	slots     []inflight
 	freeSlots []uint64
 
-	// Batch mirrors Config.Batch (doorbell-batched submission).
+	// Batch mirrors Config.Batch; issuePrefetch reads it.
 	Batch bool
 
 	pfQueue  [][]pfItem
@@ -279,9 +282,9 @@ type System struct {
 	// moment its completion ripens, instead of waiting for the daemon to be
 	// scheduled.
 	pfHeld []pfHeldItem
-	// pfScratch is the per-core scratch arena for batched prefetch issue —
-	// reused across faults so the hot path does not allocate. Safe to share
-	// per core because SchedulePrefetch never yields while using it.
+	// pfScratch is the per-core scratch arena for prefetch issue — reused
+	// across faults so the hot path does not allocate. Safe to share per
+	// core because SchedulePrefetch never yields while using it.
 	pfScratch []pfScratch
 
 	// Counters and instrumentation.
@@ -318,10 +321,10 @@ type pfHeldItem struct {
 	valid bool
 }
 
-// pfScratch holds one core's reusable buffers for batched prefetch issue.
-// items records every accepted target in issue order; per node the segs
-// are coalesced into reqs, submitted, and the resulting ops installed back
-// into the items' slots.
+// pfScratch holds one core's reusable buffers for prefetch issue. items
+// records the accepted targets not yet issued, in target order; a batched
+// issue builds one single-segment req per page of a node, submits them,
+// and installs the resulting ops back into the items' slots.
 type pfScratch struct {
 	items []pfIssue
 	segs  []fabric.Seg
@@ -496,25 +499,7 @@ func build(eng *sim.Engine, cfg Config) *System {
 		retrySeed ^= cfg.Chaos.Config().Seed
 	}
 	s.retryRng = chaos.NewRand(retrySeed)
-	mgr.RemoteOf = func(v pagetable.VPN) (pagemgr.Target, bool) {
-		slots, ok := s.space.WriteSlots(v)
-		if !ok || len(slots) == 0 {
-			return pagemgr.Target{}, false
-		}
-		tgt := pagemgr.Target{
-			Off:       slots[0].Off,
-			CleanQP:   s.Hubs[slots[0].Node].QP(0, comm.ModCleaner),
-			ReclaimQP: s.Hubs[slots[0].Node].QP(0, comm.ModReclaim),
-		}
-		for _, sl := range slots[1:] {
-			tgt.Replicas = append(tgt.Replicas, pagemgr.Target{
-				Off:       sl.Off,
-				CleanQP:   s.Hubs[sl.Node].QP(0, comm.ModCleaner),
-				ReclaimQP: s.Hubs[sl.Node].QP(0, comm.ModReclaim),
-			})
-		}
-		return tgt, true
-	}
+	mgr.RemoteOf = func(v pagetable.VPN) (pagemgr.Target, bool) { return s.targetFor(0, v) }
 	if cfg.Chaos != nil {
 		s.Health = NewHealthMonitor(s)
 	}
@@ -857,6 +842,30 @@ func (s *System) MmapDDC(pages uint64) (uint64, error) {
 		s.Table.Set(vpn, pagetable.Remote(sl.Off/PageSize))
 	}
 	return reg.Base, nil
+}
+
+// targetFor resolves a page's writable replica slots into a write-back
+// target on one core's cleaner and reclaimer queue pairs (primary first).
+// The page manager's daemons write through core 0's; PageOutRange through
+// the calling core's.
+func (s *System) targetFor(core int, v pagetable.VPN) (pagemgr.Target, bool) {
+	slots, ok := s.space.WriteSlots(v)
+	if !ok || len(slots) == 0 {
+		return pagemgr.Target{}, false
+	}
+	tgt := pagemgr.Target{
+		Off:       slots[0].Off,
+		CleanQP:   s.Hubs[slots[0].Node].QP(core, comm.ModCleaner),
+		ReclaimQP: s.Hubs[slots[0].Node].QP(core, comm.ModReclaim),
+	}
+	for _, sl := range slots[1:] {
+		tgt.Replicas = append(tgt.Replicas, pagemgr.Target{
+			Off:       sl.Off,
+			CleanQP:   s.Hubs[sl.Node].QP(core, comm.ModCleaner),
+			ReclaimQP: s.Hubs[sl.Node].QP(core, comm.ModReclaim),
+		})
+	}
+	return tgt, true
 }
 
 // remoteOf maps a virtual page to its first live (node, slot offset).

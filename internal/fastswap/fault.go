@@ -128,10 +128,17 @@ func (h *coreHandler) HandleFault(c *mmu.Core, vpn pagetable.VPN, write bool) {
 }
 
 // mapEntry installs the PTE for a swap-cache entry (the page stays in the
-// swap cache — Linux keeps the duplicate until reclaim).
+// swap cache — Linux keeps the duplicate until reclaim). When two cores
+// fault the same page, the second mapper finds the PTE already mapping the
+// entry's frame and keeps its Dirty and Accessed bits: a fresh PTE would
+// drop the first core's store, and reclaim would free the page unwritten.
 func (s *System) mapEntry(vpn pagetable.VPN, e *scEntry) {
 	e.mapped = true
-	s.Table.Set(vpn, pagetable.Local(uint64(e.frame), true))
+	pte := pagetable.Local(uint64(e.frame), true)
+	if old := s.Table.Lookup(vpn); old.Tag() == pagetable.TagLocal && old.Frame() == uint64(e.frame) {
+		pte |= old & (pagetable.BitDirty | pagetable.BitAccessed)
+	}
+	s.Table.Set(vpn, pte)
 	meta := s.Pool.Meta(e.frame)
 	meta.VPN = vpn
 	if !e.onLRU {

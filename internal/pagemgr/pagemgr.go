@@ -100,13 +100,14 @@ type Manager struct {
 	// Guide, when non-nil, enables guided paging.
 	Guide EvictionGuide
 
-	// Batch enables doorbell-batched write-backs: the cleaner sweeps its
-	// dirty set first, groups targets by queue pair (one per memory node,
-	// replicas included), coalesces contiguous remote offsets into vectored
-	// writes, and posts each node's set through a single doorbell
-	// (fabric.QP.Submit). The reclaimer's emergency clean does the same on
-	// its own queue pair. Off by default: the per-op path is the paper's
-	// calibrated baseline.
+	// Batch decides when a write-back's doorbell rings, and nothing else:
+	// off (the paper's calibrated per-op path), every page is written as
+	// the sweep reaches it, one solo write per replica; on, the sweep's
+	// pages are posted at its end through one doorbell per queue pair
+	// (fabric.QP.Submit), contiguous remote offsets coalesced into
+	// vectored writes. The cleaner, the reclaimer's emergency clean and
+	// application-directed page-out share the one write-back path
+	// (WriteBack) either way.
 	Batch bool
 
 	// Shards is the number of per-core LRU/clock shards this manager
@@ -125,11 +126,11 @@ type Manager struct {
 	needReclaim sim.Waiter // reclaimers park here while the pool is above high water
 	freed       sim.Waiter // allocators park here when the pool is empty
 
-	// Per-shard, per-daemon scratch arenas for batched write-backs (the
+	// Per-shard, per-daemon write-back passes, reused across sweeps (the
 	// cleaner and the reclaimer can interleave across yields — and shards
 	// across each other — so none may share). Index 0 serves legacy mode.
-	cleanScs   []wbScratch
-	reclaimScs []wbScratch
+	cleanScs   []WriteBack
+	reclaimScs []WriteBack
 
 	// vectors is the action-PTE payload log (guided paging). A frame's
 	// last-cleaned vector index lives on the frame itself
@@ -184,55 +185,18 @@ func (m *Manager) reclaimTrackFor(shard int) int {
 	return m.ReclaimTrack
 }
 
-// cleanScFor returns the cleaner's scratch arena for one shard, growing
-// the arena table on first use.
-func (m *Manager) cleanScFor(shard int) *wbScratch {
-	for len(m.cleanScs) <= shard {
-		m.cleanScs = append(m.cleanScs, wbScratch{})
+// passFor returns a daemon's write-back pass for one shard from its table
+// (cleanScs or reclaimScs), growing the table on first use.
+func passFor(tab *[]WriteBack, shard int) *WriteBack {
+	for len(*tab) <= shard {
+		*tab = append(*tab, WriteBack{})
 	}
-	return &m.cleanScs[shard]
-}
-
-func (m *Manager) reclaimScFor(shard int) *wbScratch {
-	for len(m.reclaimScs) <= shard {
-		m.reclaimScs = append(m.reclaimScs, wbScratch{})
-	}
-	return &m.reclaimScs[shard]
+	return &(*tab)[shard]
 }
 
 type vecEntry struct {
 	chunks []Chunk
 	used   bool
-}
-
-// wbScratch holds one daemon's reusable buffers for batched write-backs.
-type wbScratch struct {
-	items []wbItem
-	qps   []*fabric.QP
-	segs  []fabric.Seg
-	owner []int // parallel to segs: index into items
-	reqs  []fabric.Req
-	ops   []*fabric.Op
-}
-
-// wbItem is one dirty page picked up by a batched sweep, with everything
-// the flush and retire phases need resolved up front (no yields happen
-// between the sweep and the retire, so the snapshot stays valid).
-type wbItem struct {
-	id     dram.FrameID
-	vpn    pagetable.VPN
-	pte    pagetable.PTE
-	tgt    Target
-	chunks []Chunk
-	guided bool
-	failed bool
-}
-
-func qpOf(t *Target, reclaimPath bool) *fabric.QP {
-	if reclaimPath {
-		return t.ReclaimQP
-	}
-	return t.CleanQP
 }
 
 // New creates a page manager over the pool and table.
@@ -473,16 +437,12 @@ func (m *Manager) reclaimStepSteal(p *sim.Proc, shard int) (victim int, ok bool)
 // cleanPass performs one cleaner scan over one shard's list; exposed for
 // tests (shard 0 is the whole list in legacy mode).
 func (m *Manager) cleanPass(p *sim.Proc, shard int) {
-	if m.Batch {
-		m.cleanPassBatched(p, shard)
-		return
-	}
 	t0 := p.Now()
-	var lastOp *fabric.Op
-	batch, dirty := 0, 0
+	w := passFor(&m.cleanScs, shard)
+	w.reset(m, m.RemoteOf, false, 0, 0)
 	m.Pool.WalkShard(shard, func(id dram.FrameID, f *dram.Frame) bool {
 		p.Advance(m.Cfg.ScanCost)
-		if batch >= m.Cfg.CleanerBatch {
+		if w.cleaned+len(w.items) >= m.Cfg.CleanerBatch {
 			return false
 		}
 		if f.Pinned || f.VPN == dram.NoVPN {
@@ -492,70 +452,16 @@ func (m *Manager) cleanPass(p *sim.Proc, shard int) {
 		if pte.Tag() != pagetable.TagLocal || !pte.Dirty() {
 			return true
 		}
-		dirty++
-		op, ok := m.writeBack(p, id, f.VPN, false)
-		if !ok {
-			// A replica write failed at issue (fabric errors are known at
-			// issue time) or the page has no reachable write target: leave
-			// the dirty bit set so the next pass retries, and never let the
-			// reclaimer treat the page as clean.
-			m.WriteFails.Inc()
-			return true
-		}
-		lastOp = op
-		p.Advance(m.Cfg.TagCAS)
-		m.Table.Set(f.VPN, pte&^pagetable.BitDirty)
-		m.Cleaned.Inc()
-		batch++
+		w.Add(p, id, f.VPN, pte)
 		return true
 	})
-	if batch > 0 {
-		m.Table.BumpGen() // one shootdown per pass covers all cleared bits
-	}
-	if lastOp != nil {
-		lastOp.Wait(p) // pace the cleaner to the link, off the demand path
+	last := w.Flush(p)
+	cleaned, dirty := w.cleaned, w.dirty
+	m.Cleaned.Add(int64(cleaned))
+	if last != nil {
+		last.Wait(p) // pace the cleaner to the link, off the demand path
 	}
 	m.DirtyG.Set(int64(dirty))
-	if m.Tel != nil && batch > 0 {
-		m.Tel.Emit(m.cleanTrackFor(shard), telemetry.Span{
-			Kind: telemetry.KindClean, Start: t0, End: p.Now(), Arg: uint64(batch),
-		})
-	}
-}
-
-// cleanPassBatched is the doorbell-batched cleaner pass: sweep the dirty
-// set, flush it per queue pair through single doorbells, then retire —
-// clearing the dirty bit only for pages whose every replica write landed.
-// Sweep, flush, and retire run without a yield, so the page snapshots
-// taken by the sweep stay valid until the bits are cleared.
-func (m *Manager) cleanPassBatched(p *sim.Proc, shard int) {
-	t0 := p.Now()
-	sc := m.cleanScFor(shard)
-	sc.items = sc.items[:0]
-	m.Pool.WalkShard(shard, func(id dram.FrameID, f *dram.Frame) bool {
-		p.Advance(m.Cfg.ScanCost)
-		if len(sc.items) >= m.Cfg.CleanerBatch {
-			return false
-		}
-		if f.Pinned || f.VPN == dram.NoVPN {
-			return true
-		}
-		pte := m.Table.Lookup(f.VPN)
-		if pte.Tag() != pagetable.TagLocal || !pte.Dirty() {
-			return true
-		}
-		m.collectItem(sc, id, f.VPN, pte)
-		return true
-	})
-	lastOp := m.flushBatch(p, sc, false)
-	cleaned := m.retireBatch(p, sc, true)
-	if cleaned > 0 {
-		m.Table.BumpGen() // one shootdown per pass covers all cleared bits
-	}
-	if lastOp != nil {
-		lastOp.Wait(p) // pace the cleaner to the link, off the demand path
-	}
-	m.DirtyG.Set(int64(len(sc.items)))
 	if m.Tel != nil && cleaned > 0 {
 		m.Tel.Emit(m.cleanTrackFor(shard), telemetry.Span{
 			Kind: telemetry.KindClean, Start: t0, End: p.Now(), Arg: uint64(cleaned),
@@ -563,111 +469,239 @@ func (m *Manager) cleanPassBatched(p *sim.Proc, shard int) {
 	}
 }
 
-// collectItem snapshots one dirty page into the sweep's item list: its
-// (replicated) remote target and, under guided paging, its live chunks. A
-// page with no reachable write target is counted failed immediately and
-// stays dirty.
-func (m *Manager) collectItem(sc *wbScratch, id dram.FrameID, vpn pagetable.VPN, pte pagetable.PTE) {
-	tgt, ok := m.RemoteOf(vpn)
+// WriteBack is one sweep's write-back: the cleaner's pass, the
+// reclaimer's emergency clean, or an application-directed page-out. The
+// sweep hands each dirty page it meets to Add and calls Flush once at the
+// end. Every page goes through the same steps — collect its replicated
+// target (and, under guided paging, its live chunks), write it to every
+// replica, mark it failed if any write failed at issue, then retire it:
+// clear its Dirty bit and record its clean vector on the frame, or count
+// a write failure and leave it dirty for a later pass, so the reclaimer
+// never evicts the only good copy. Manager.Batch decides only when the
+// writes go out (see ring).
+type WriteBack struct {
+	m       *Manager
+	target  func(pagetable.VPN) (Target, bool)
+	reclaim bool     // write on each slot's ReclaimQP instead of its CleanQP
+	issue   sim.Time // CPU charged for the first request behind a doorbell
+	wqe     sim.Time // CPU charged for each further request
+
+	items []wbItem // collected and not yet retired
+	qps   []*fabric.QP
+	segs  []fabric.Seg
+	owner []int // parallel to segs: index into items
+	reqs  []fabric.Req
+	ops   []*fabric.Op
+
+	last    *fabric.Op // the op the caller paces on
+	dirty   int        // dirty pages handed to Add
+	cleaned int        // pages retired clean
+	cold    dram.FrameID
+	coldVPN pagetable.VPN
+}
+
+// wbItem is one dirty page of a write-back, with everything the issue and
+// retire steps need resolved up front (no yields happen between Add and
+// the retire, so the snapshot stays valid).
+type wbItem struct {
+	id     dram.FrameID
+	vpn    pagetable.VPN
+	pte    pagetable.PTE
+	tgt    Target
+	chunks []Chunk
+	guided bool
+	failed bool
+}
+
+// NewWriteBack starts a write-back for a caller outside the daemons
+// (core.PageOutRange): target resolves each page's slots and the queue
+// pairs to write them on (their CleanQPs are used), and issue and wqe are
+// the CPU the caller is charged per request.
+func (m *Manager) NewWriteBack(target func(pagetable.VPN) (Target, bool), issue, wqe sim.Time) *WriteBack {
+	w := &WriteBack{}
+	w.reset(m, target, false, issue, wqe)
+	return w
+}
+
+func (w *WriteBack) reset(m *Manager, target func(pagetable.VPN) (Target, bool), reclaim bool, issue, wqe sim.Time) {
+	w.m, w.target, w.reclaim, w.issue, w.wqe = m, target, reclaim, issue, wqe
+	w.items = w.items[:0]
+	w.last, w.dirty, w.cleaned = nil, 0, 0
+	w.cold = dram.NoFrame
+}
+
+// Add collects one dirty page (pte is its current, Local and Dirty, PTE).
+// A page with no reachable write target counts as a write failure at
+// once and stays dirty.
+func (w *WriteBack) Add(p *sim.Proc, id dram.FrameID, vpn pagetable.VPN, pte pagetable.PTE) {
+	w.dirty++
+	tgt, ok := w.target(vpn)
 	if !ok {
-		m.WriteFails.Inc()
+		w.m.WriteFails.Inc()
 		return
 	}
 	it := wbItem{id: id, vpn: vpn, pte: pte, tgt: tgt}
-	if m.Guide != nil {
-		if c, ok := m.Guide.LiveChunks(vpn); ok && usable(c) {
+	if w.m.Guide != nil {
+		if c, ok := w.m.Guide.LiveChunks(vpn); ok && usable(c) {
 			it.chunks, it.guided = c, true
 		}
 	}
-	sc.items = append(sc.items, it)
+	w.items = append(w.items, it)
+	w.ring(p, false)
 }
 
-// flushBatch posts every collected page to every one of its replica
-// targets, one doorbell per distinct queue pair (i.e. per memory node and
-// path), with contiguous remote offsets coalesced into vectored writes.
-// Failure is known at issue time, so a failed request marks every page it
-// carried as failed. Returns the op that completes last, for pacing.
-func (m *Manager) flushBatch(p *sim.Proc, sc *wbScratch, reclaimPath bool) *fabric.Op {
-	if len(sc.items) == 0 {
-		return nil
+// Flush issues whatever is still pending, retires it, and bumps the
+// table generation once if any Dirty bit was cleared (one shootdown per
+// sweep). It returns the op the caller should wait on to pace itself to
+// the link, or nil when nothing landed; the caller waits, since the wait
+// yields.
+func (w *WriteBack) Flush(p *sim.Proc) *fabric.Op {
+	w.ring(p, true)
+	if w.cleaned > 0 {
+		w.m.Table.BumpGen()
 	}
-	// Distinct queue pairs in first-appearance order (primary before
-	// replicas), so seeded runs replay identically.
-	sc.qps = sc.qps[:0]
-	for i := range sc.items {
-		it := &sc.items[i]
-		sc.addQP(qpOf(&it.tgt, reclaimPath))
-		for r := range it.tgt.Replicas {
-			sc.addQP(qpOf(&it.tgt.Replicas[r], reclaimPath))
-		}
+	return w.last
+}
+
+// ring is where Batch is read. Per-op mode writes each page the moment
+// Add collects it, through solo writes; batched mode holds the pages until
+// Flush and posts them through one doorbell per queue pair.
+func (w *WriteBack) ring(p *sim.Proc, flush bool) {
+	switch {
+	case !w.m.Batch:
+		w.solo(p)
+	case flush:
+		w.submit(p)
+	default:
+		return
 	}
-	var last *fabric.Op
-	for _, qp := range sc.qps {
-		sc.segs, sc.owner = sc.segs[:0], sc.owner[:0]
-		for i := range sc.items {
-			it := &sc.items[i]
-			m.gatherSegs(sc, i, &it.tgt, qp, reclaimPath)
-			for r := range it.tgt.Replicas {
-				m.gatherSegs(sc, i, &it.tgt.Replicas[r], qp, reclaimPath)
-			}
-		}
-		sc.reqs = qp.Coalesce(fabric.OpWrite, sc.segs, sc.reqs[:0])
-		sc.ops = qp.Submit(p.Now(), sc.reqs, sc.ops[:0])
-		idx := 0
-		for r, req := range sc.reqs {
-			op := sc.ops[r]
+	w.retire(p)
+}
+
+func (w *WriteBack) qpOf(t *Target) *fabric.QP {
+	if w.reclaim {
+		return t.ReclaimQP
+	}
+	return t.CleanQP
+}
+
+// slot returns a page's n-th write target: 0 is the primary, then the
+// replicas in order.
+func (it *wbItem) slot(n int) *Target {
+	if n == 0 {
+		return &it.tgt
+	}
+	return &it.tgt.Replicas[n-1]
+}
+
+// appendSegs appends one target's segments of a page: the whole page, or
+// its live chunks under guided paging (counting the bytes left behind).
+func (w *WriteBack) appendSegs(segs []fabric.Seg, it *wbItem, t *Target) []fabric.Seg {
+	data := w.m.Pool.Bytes(it.id)
+	if !it.guided {
+		return append(segs, fabric.Seg{Off: t.Off, Buf: data})
+	}
+	live := 0
+	for _, c := range it.chunks {
+		segs = append(segs, fabric.Seg{Off: t.Off + uint64(c.Off), Buf: data[c.Off : c.Off+c.Len]})
+		live += int(c.Len)
+	}
+	w.m.VectorSaves.Add(int64(pagetable.PageSize - live))
+	return segs
+}
+
+// solo writes each pending page to every replica, one request per write.
+// Failure is known at issue time. The caller paces on the last written
+// page's latest write; a page with a failed write is left out of pacing.
+func (w *WriteBack) solo(p *sim.Proc) {
+	for i := range w.items {
+		it := &w.items[i]
+		var last *fabric.Op
+		for n := 0; n <= len(it.tgt.Replicas); n++ {
+			t := it.slot(n)
+			w.segs = w.appendSegs(w.segs[:0], it, t)
+			op := w.qpOf(t).WriteV(p.Now(), w.segs)
+			p.Advance(w.issue)
 			if op.Err != nil {
-				for k := 0; k < len(req.Segs); k++ {
-					sc.items[sc.owner[idx+k]].failed = true
-				}
+				it.failed = true
 			} else if last == nil || op.CompleteAt > last.CompleteAt {
 				last = op
+			}
+		}
+		if !it.failed {
+			w.last = last
+		}
+	}
+}
+
+// submit posts every pending page to every replica, one doorbell per
+// distinct queue pair (memory node and path) in first-appearance order,
+// contiguous remote offsets coalesced into vectored writes. A failed
+// request marks every page it carried. The caller paces on the latest
+// op that succeeded.
+func (w *WriteBack) submit(p *sim.Proc) {
+	w.qps = w.qps[:0]
+	for i := range w.items {
+		it := &w.items[i]
+		for n := 0; n <= len(it.tgt.Replicas); n++ {
+			w.addQP(w.qpOf(it.slot(n)))
+		}
+	}
+	for _, qp := range w.qps {
+		w.segs, w.owner = w.segs[:0], w.owner[:0]
+		for i := range w.items {
+			it := &w.items[i]
+			for n := 0; n <= len(it.tgt.Replicas); n++ {
+				if t := it.slot(n); w.qpOf(t) == qp {
+					w.segs = w.appendSegs(w.segs, it, t)
+					for len(w.owner) < len(w.segs) {
+						w.owner = append(w.owner, i)
+					}
+				}
+			}
+		}
+		w.reqs = qp.Coalesce(fabric.OpWrite, w.segs, w.reqs[:0])
+		for r := range w.reqs {
+			if r == 0 {
+				p.Advance(w.issue)
+			} else {
+				p.Advance(w.wqe)
+			}
+		}
+		w.ops = qp.Submit(p.Now(), w.reqs, w.ops[:0])
+		idx := 0
+		for r, req := range w.reqs {
+			op := w.ops[r]
+			if op.Err != nil {
+				for k := 0; k < len(req.Segs); k++ {
+					w.items[w.owner[idx+k]].failed = true
+				}
+			} else if w.last == nil || op.CompleteAt > w.last.CompleteAt {
+				w.last = op
 			}
 			idx += len(req.Segs)
 		}
 	}
-	return last
 }
 
-func (sc *wbScratch) addQP(qp *fabric.QP) {
-	for _, q := range sc.qps {
+func (w *WriteBack) addQP(qp *fabric.QP) {
+	for _, q := range w.qps {
 		if q == qp {
 			return
 		}
 	}
-	sc.qps = append(sc.qps, qp)
+	w.qps = append(w.qps, qp)
 }
 
-// gatherSegs appends item i's segments for one replica target if that
-// target rides the queue pair currently being flushed.
-func (m *Manager) gatherSegs(sc *wbScratch, i int, t *Target, qp *fabric.QP, reclaimPath bool) {
-	if qpOf(t, reclaimPath) != qp {
-		return
-	}
-	it := &sc.items[i]
-	data := m.Pool.Bytes(it.id)
-	if it.guided {
-		live := 0
-		for _, c := range it.chunks {
-			sc.segs = append(sc.segs, fabric.Seg{Off: t.Off + uint64(c.Off), Buf: data[c.Off : c.Off+c.Len]})
-			sc.owner = append(sc.owner, i)
-			live += int(c.Len)
-		}
-		m.VectorSaves.Add(int64(pagetable.PageSize - live))
-		return
-	}
-	sc.segs = append(sc.segs, fabric.Seg{Off: t.Off, Buf: data})
-	sc.owner = append(sc.owner, i)
-}
-
-// retireBatch clears the dirty bit of every page whose writes all landed
-// (recording its clean vector under guided paging) and counts the rest as
-// write failures — they stay dirty so the next pass retries and the
-// reclaimer never evicts the only good copy.
-func (m *Manager) retireBatch(p *sim.Proc, sc *wbScratch, countCleaned bool) int {
-	cleaned := 0
-	for i := range sc.items {
-		it := &sc.items[i]
+// retire clears the Dirty bit of every issued page whose writes all
+// landed and sets its frame's clean vector (the live chunks under guided
+// paging, none otherwise), remembering the first such page the clock has
+// not marked Accessed (the reclaimer's victim). Failed pages count as
+// write failures and stay dirty.
+func (w *WriteBack) retire(p *sim.Proc) {
+	m := w.m
+	for i := range w.items {
+		it := &w.items[i]
 		if it.failed {
 			m.WriteFails.Inc()
 			continue
@@ -675,73 +709,12 @@ func (m *Manager) retireBatch(p *sim.Proc, sc *wbScratch, countCleaned bool) int
 		p.Advance(m.Cfg.TagCAS)
 		m.Table.Set(it.vpn, it.pte&^pagetable.BitDirty)
 		m.setFrameVector(m.Pool.Meta(it.id), it.chunks, it.guided)
-		if countCleaned {
-			m.Cleaned.Inc()
-		}
-		cleaned++
-	}
-	return cleaned
-}
-
-// writeBack writes a page's content to its remote slot — the whole page,
-// or just the live chunks when a guide provides them (logging the vector
-// for the reclaimer). reclaimPath selects the reclaimer's queue pair
-// instead of the cleaner's. ok=false means at least one replica write did
-// not land (failed at issue, or the page currently has no reachable write
-// target): the caller must keep the page dirty so the write-back is
-// retried — clearing the dirty bit after a failed write would let the
-// reclaimer evict the only good copy.
-func (m *Manager) writeBack(p *sim.Proc, id dram.FrameID, vpn pagetable.VPN, reclaimPath bool) (*fabric.Op, bool) {
-	tgt, ok := m.RemoteOf(vpn)
-	if !ok {
-		return nil, false
-	}
-	data := m.Pool.Bytes(id)
-	targets := append([]Target{tgt}, tgt.Replicas...)
-	var chunks []Chunk
-	guided := false
-	if m.Guide != nil {
-		if c, ok := m.Guide.LiveChunks(vpn); ok && usable(c) {
-			chunks, guided = c, true
+		w.cleaned++
+		if w.cold == dram.NoFrame && !it.pte.Accessed() {
+			w.cold, w.coldVPN = it.id, it.vpn
 		}
 	}
-	// Issue the write to every replica slot; return the op that completes
-	// last so callers pacing on it cover the whole replica set. Failure is
-	// known at issue time (see the fabric's data-movement contract), so a
-	// failed replica write is visible here synchronously.
-	var last *fabric.Op
-	ok = true
-	for _, t := range targets {
-		qp := t.CleanQP
-		if reclaimPath {
-			qp = t.ReclaimQP
-		}
-		var op *fabric.Op
-		if guided {
-			segs := make([]fabric.Seg, len(chunks))
-			live := 0
-			for i, c := range chunks {
-				segs[i] = fabric.Seg{Off: t.Off + uint64(c.Off), Buf: data[c.Off : c.Off+c.Len]}
-				live += int(c.Len)
-			}
-			m.VectorSaves.Add(int64(pagetable.PageSize - live))
-			op = qp.WriteV(p.Now(), segs)
-		} else {
-			op = qp.Write(p.Now(), t.Off, data)
-		}
-		if op.Err != nil {
-			ok = false
-			continue
-		}
-		if last == nil || op.CompleteAt > last.CompleteAt {
-			last = op
-		}
-	}
-	if !ok {
-		return last, false
-	}
-	m.setFrameVector(m.Pool.Meta(id), chunks, guided)
-	return last, true
+	w.items = w.items[:0]
 }
 
 // usable reports whether a chunk vector is worth a vectored request: within
@@ -801,76 +774,17 @@ func (m *Manager) reclaimStep(p *sim.Proc, shard int) bool {
 		m.Pool.LRURotate(id) // no reachable remote slot right now; skip
 		continue
 	}
+	if firstDirty == dram.NoFrame {
+		return false
+	}
 	// No clean victim in a full sweep: the cleaner is behind. Clean a batch
 	// of cold dirty pages ourselves on the reclaim QP (asynchronously,
 	// waiting once at the end — still entirely off the fault handler, which
 	// is the design's invariant), then evict the first of them.
-	if firstDirty != dram.NoFrame {
-		if m.Batch {
-			return m.reclaimCleanBatched(p, shard)
-		}
-		var lastOp *fabric.Op
-		cleaned := 0
-		var victim dram.FrameID = dram.NoFrame
-		var victimVPN pagetable.VPN
-		m.Pool.WalkShard(shard, func(id dram.FrameID, f *dram.Frame) bool {
-			if cleaned >= 32 {
-				return false
-			}
-			if f.Pinned || f.VPN == dram.NoVPN {
-				return true
-			}
-			pte := m.Table.Lookup(f.VPN)
-			if pte.Tag() != pagetable.TagLocal || !pte.Dirty() {
-				return true
-			}
-			p.Advance(m.Cfg.ScanCost)
-			op, ok := m.writeBack(p, id, f.VPN, true)
-			if !ok {
-				m.WriteFails.Inc()
-				return true
-			}
-			lastOp = op
-			p.Advance(m.Cfg.TagCAS)
-			m.Table.Set(f.VPN, pte&^pagetable.BitDirty)
-			cleaned++
-			if victim == dram.NoFrame && !pte.Accessed() {
-				victim, victimVPN = id, f.VPN
-			}
-			return true
-		})
-		if cleaned > 0 {
-			m.Table.BumpGen()
-		}
-		if lastOp != nil {
-			lastOp.Wait(p)
-			m.SyncWrites.Inc()
-		}
-		if victim != dram.NoFrame {
-			// The wait above yielded: the victim may have been touched,
-			// re-dirtied, or pinned since we chose it. Re-validate before
-			// evicting, or its newest writes would be lost.
-			f := m.Pool.Meta(victim)
-			pte := m.Table.Lookup(victimVPN)
-			if !f.Pinned && f.VPN == victimVPN && pte.Tag() == pagetable.TagLocal &&
-				!pte.Dirty() && !pte.Accessed() && m.evict(p, victim, victimVPN) {
-				return true
-			}
-		}
-		return cleaned > 0
-	}
-	return false
-}
-
-// reclaimCleanBatched is the reclaimer's emergency clean under batching:
-// sweep a batch of cold dirty pages, flush them through the reclaim queue
-// pairs with one doorbell per node, retire the survivors, then wait once
-// and evict a victim — still entirely off the fault handler.
-func (m *Manager) reclaimCleanBatched(p *sim.Proc, shard int) bool {
-	sc := m.reclaimScFor(shard)
-	sc.items = sc.items[:0]
+	w := passFor(&m.reclaimScs, shard)
+	w.reset(m, m.RemoteOf, true, 0, 0)
 	m.Pool.WalkShard(shard, func(id dram.FrameID, f *dram.Frame) bool {
-		if len(sc.items) >= 32 {
+		if w.cleaned+len(w.items) >= 32 {
 			return false
 		}
 		if f.Pinned || f.VPN == dram.NoVPN {
@@ -881,26 +795,15 @@ func (m *Manager) reclaimCleanBatched(p *sim.Proc, shard int) bool {
 			return true
 		}
 		p.Advance(m.Cfg.ScanCost)
-		m.collectItem(sc, id, f.VPN, pte)
+		w.Add(p, id, f.VPN, pte)
 		return true
 	})
-	lastOp := m.flushBatch(p, sc, true)
-	cleaned := m.retireBatch(p, sc, false)
-	// Pick the victim before waiting: the wait yields, and the scratch
-	// snapshot is only valid until then.
-	var victim dram.FrameID = dram.NoFrame
-	var victimVPN pagetable.VPN
-	for i := range sc.items {
-		if it := &sc.items[i]; !it.failed && !it.pte.Accessed() {
-			victim, victimVPN = it.id, it.vpn
-			break
-		}
-	}
-	if cleaned > 0 {
-		m.Table.BumpGen()
-	}
-	if lastOp != nil {
-		lastOp.Wait(p)
+	// Read the result before waiting: the wait yields, and another daemon
+	// may reuse this pass meanwhile.
+	last := w.Flush(p)
+	cleaned, victim, victimVPN := w.cleaned, w.cold, w.coldVPN
+	if last != nil {
+		last.Wait(p)
 		m.SyncWrites.Inc()
 	}
 	if victim != dram.NoFrame {
@@ -948,9 +851,10 @@ func (m *Manager) evict(p *sim.Proc, id dram.FrameID, vpn pagetable.VPN) bool {
 
 // PageOut evicts one resident page on behalf of an application-directed
 // pager (core.PageOutRange): unmap, transition the PTE to Remote (or
-// Action under guided paging), and free the frame. The caller must have
-// written dirty content back to every replica first — PageOut itself
-// performs no write-back — and must pass a page whose frame is unpinned.
+// Action when its last write-back was guided), and free the frame. The
+// caller must have written dirty content back to every replica first
+// (through a WriteBack) — PageOut itself performs no write-back — and must
+// pass a page whose frame is unpinned.
 // Returns false, leaving the page resident, when no replica is reachable.
 func (m *Manager) PageOut(p *sim.Proc, id dram.FrameID, vpn pagetable.VPN) bool {
 	return m.evict(p, id, vpn)

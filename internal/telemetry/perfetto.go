@@ -11,8 +11,9 @@ import (
 
 // This file serialises a recording as Chrome trace-event JSON — the
 // format Perfetto (ui.perfetto.dev) and chrome://tracing both load.
-// Each recorder track becomes one thread row ("M"/thread_name metadata +
-// "X" complete events); fault spans additionally emit one child slice
+// Each recorder track becomes one thread row ("M"/thread_name metadata,
+// whose args carry the track's ring-wrap drop count, + "X" complete
+// events); fault spans additionally emit one child slice
 // per stage, laid out cumulatively, so a major fault renders as a bar
 // with its exception/lookup/issue/guide/wait/map segments nested under
 // it. Sampler points become "C" counter events, one series per gauge.
@@ -59,8 +60,10 @@ func WritePerfetto(w io.Writer, rec *Recorder, sam *Sampler) error {
 	emit(`{"ph":"M","pid":0,"tid":0,"name":"process_name","args":{"name":"dilos-sim"}}`)
 	names := rec.Tracks()
 	for id, name := range names {
-		emit(fmt.Sprintf(`{"ph":"M","pid":0,"tid":%d,"name":"thread_name","args":{"name":%q}}`,
-			id+1, name))
+		// dropped counts the spans the track's ring overwrote, so a reader
+		// can tell a complete track from one that lost its oldest spans.
+		emit(fmt.Sprintf(`{"ph":"M","pid":0,"tid":%d,"name":"thread_name","args":{"name":%q,"dropped":%d}}`,
+			id+1, name, rec.Dropped(id)))
 	}
 	for id := range names {
 		for _, sp := range rec.Spans(id) {
@@ -114,8 +117,9 @@ type Summary struct {
 // Perfetto requires: a traceEvents array whose entries carry a phase in
 // {M, X, C}, a name, and the phase's mandatory fields ("X" needs
 // ts/dur/tid with dur >= 0, "C" needs ts and a numeric args value, "M"
-// needs an args name). Returns counts for reporting. CI runs this over
-// the ext6 export.
+// needs an args name, and a thread_name's args dropped, when present, is
+// a non-negative integer). Returns counts for reporting. CI runs this
+// over the ext6 export.
 func Validate(r io.Reader) (Summary, error) {
 	var doc struct {
 		TraceEvents []struct {
@@ -153,6 +157,12 @@ func Validate(r io.Reader) (Summary, error) {
 					return s, fmt.Errorf("telemetry: thread_name event %d missing tid", i)
 				}
 				tracks[*ev.Tid] = true
+				if raw, ok := ev.Args["dropped"]; ok {
+					var n int64
+					if json.Unmarshal(raw, &n) != nil || n < 0 {
+						return s, fmt.Errorf("telemetry: thread_name event %d has args.dropped %s, want a non-negative integer", i, raw)
+					}
+				}
 			}
 		case "X":
 			s.Spans++

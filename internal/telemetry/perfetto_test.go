@@ -57,6 +57,33 @@ func TestPerfettoWriteValidates(t *testing.T) {
 	}
 }
 
+// A track whose ring wrapped says so in its thread_name metadata, and the
+// file still validates.
+func TestPerfettoRecordsDropped(t *testing.T) {
+	rec := NewRecorder(4)
+	tr := rec.Track("fault/core0")
+	rec.Track("cleaner")
+	for i := 0; i < 10; i++ {
+		rec.Emit(tr, Span{Kind: KindMajorFault, Start: sim.Time(i), End: sim.Time(i) + 1, Arg: uint64(i)})
+	}
+	var buf bytes.Buffer
+	if err := WritePerfetto(&buf, rec, nil); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		`"args":{"name":"fault/core0","dropped":6}`,
+		`"args":{"name":"cleaner","dropped":0}`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("timeline lacks %s", want)
+		}
+	}
+	if _, err := Validate(strings.NewReader(out)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPerfettoDeterministicBytes(t *testing.T) {
 	write := func() string {
 		rec, sam := sampleRecording()
@@ -85,6 +112,12 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		"unnamed event": `{"traceEvents":[{"ph":"X","ts":1,"dur":1,"tid":1}]}`,
 		"counter w/o value": `{"traceEvents":[` +
 			`{"ph":"C","name":"g","ts":1,"args":{}}]}`,
+		"negative dropped": `{"traceEvents":[` +
+			`{"ph":"M","name":"thread_name","tid":1,"args":{"name":"t","dropped":-1}}]}`,
+		"fractional dropped": `{"traceEvents":[` +
+			`{"ph":"M","name":"thread_name","tid":1,"args":{"name":"t","dropped":1.5}}]}`,
+		"string dropped": `{"traceEvents":[` +
+			`{"ph":"M","name":"thread_name","tid":1,"args":{"name":"t","dropped":"0"}}]}`,
 	}
 	for label, doc := range cases {
 		if _, err := Validate(strings.NewReader(doc)); err == nil {
